@@ -15,6 +15,12 @@ import numpy as np
 
 from .metrics import LN2, SQRT_LN2
 
+# per-cell rounding error alpha/2 -> L1 error <= B^2 * alpha / 2. The step
+# budget (sqrt(ln 2) / 4) * B^2 * alpha converts that L1 radius to sqrt-JS
+# through the small-perturbation relation JS ~ ln2 * TV^2, which describes
+# spread-out rounding noise well but is not a pointwise theorem (mass moved
+# into an empty cell costs linearly in TV, not quadratically). The budget
+# is therefore a design target, enforced empirically with a hard gate at 2x.
 ENC_BOUND_COEFF = SQRT_LN2 / 4.0
 
 
@@ -72,7 +78,9 @@ def rate_achievability(n_deltas: int, bins: int, alpha: float) -> float:
 
 
 def enc_distortion_bound(bins: int, alpha: float) -> float:
-    """Worst-case encoder distortion at step alpha: (sqrt(ln 2) / 4) * B^2 * alpha."""
+    """Encoder distortion budget at step alpha: (sqrt(ln 2) / 4) * B^2 * alpha.
+
+    A design target, not a worst case (see ENC_BOUND_COEFF)."""
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     if not 0.0 < alpha <= 1.0:

@@ -8,7 +8,6 @@ import numpy as np
 
 from .codec import QuantizedFamily, dequantize, pack, unpack
 from .metrics import d_pc
-from .rank_copula import CopulaFamily
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,3 @@ def ber_experiment(
         distortions=tuple(out),
     )
 
-
-def family_ber_experiment(
-    family: CopulaFamily,
-    alpha: float,
-    ber: float,
-    trials: int,
-    master_seed: int,
-) -> ChannelExperiment:
-    from .codec import quantize
-
-    return ber_experiment(quantize(family, alpha), ber, trials, master_seed)

@@ -1,4 +1,5 @@
-"""Command line front end. Exit code 0 only if every asserted inequality held."""
+"""Command line front end. Exit code 0: every asserted inequality held;
+1: a check failed; 2: bad input or usage, with one `copsem: ...` stderr line."""
 
 from __future__ import annotations
 
@@ -292,7 +293,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_bounds)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"copsem: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

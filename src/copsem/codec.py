@@ -14,16 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import SQRT_LN2, d_pc
-from .rank_copula import CopulaFamily, Displacement, EmpiricalCopula
-
-# per-cell rounding error alpha/2 -> L1 error <= B^2 * alpha / 2. The step
-# budget (sqrt(ln 2) / 4) * B^2 * alpha converts that L1 radius to sqrt-JS
-# through the small-perturbation relation JS ~ ln2 * TV^2, which describes
-# spread-out rounding noise well but is not a pointwise theorem (mass moved
-# into an empty cell costs linearly in TV, not quadratically). The budget
-# is therefore a design target, enforced empirically with a hard gate at 2x.
-ENC_BOUND_COEFF = SQRT_LN2 / 4.0
+from .bounds import enc_distortion_bound
+from .metrics import d_pc
+from .rank_copula import CopulaFamily, Displacement
 
 
 def levels_for_alpha(alpha: float) -> int:
@@ -38,30 +31,28 @@ def bits_per_cell(alpha: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class QuantizedFamily:
-    """Per-displacement index grids at a common quantization step."""
+    """Read-only int64 (D, B, B) index grids at a common quantization step."""
 
     alpha: float
     bins: int
     deltas: tuple[Displacement, ...]
-    indices: tuple[np.ndarray, ...]
+    indices: np.ndarray
 
     def __post_init__(self):
         lv = levels_for_alpha(self.alpha)
         deltas = tuple(Displacement(*d) for d in self.deltas)
-        if len(deltas) != len(self.indices):
-            raise ValueError("one index grid per displacement required")
-        grids = []
-        for g in self.indices:
-            arr = np.asarray(g, dtype=np.int64)
-            if arr.shape != (self.bins, self.bins):
-                raise ValueError(f"index grid shape {arr.shape} != ({self.bins}, {self.bins})")
-            if arr.min() < 0 or arr.max() >= lv:
-                raise ValueError(f"index outside [0, {lv - 1}]")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            grids.append(arr)
+        if not deltas:
+            raise ValueError("a quantized family needs at least one displacement")
+        arr = np.array(self.indices, dtype=np.int64)
+        if arr.shape != (len(deltas), self.bins, self.bins):
+            raise ValueError(
+                f"index array shape {arr.shape} != ({len(deltas)}, {self.bins}, {self.bins})"
+            )
+        if arr.min() < 0 or arr.max() >= lv:
+            raise ValueError(f"index outside [0, {lv - 1}]")
+        arr.flags.writeable = False
         object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "indices", tuple(grids))
+        object.__setattr__(self, "indices", arr)
 
     @property
     def levels(self) -> int:
@@ -78,17 +69,14 @@ class QuantizedFamily:
             self.alpha == other.alpha
             and self.bins == other.bins
             and self.deltas == other.deltas
-            and all(np.array_equal(a, b) for a, b in zip(self.indices, other.indices))
+            and np.array_equal(self.indices, other.indices)
         )
 
 
 def quantize(family: CopulaFamily, alpha: float) -> QuantizedFamily:
     """index = round(cell / alpha), half away from zero, clamped to the level range."""
     lv = levels_for_alpha(alpha)
-    grids = tuple(
-        np.clip(np.floor(c.cells / alpha + 0.5).astype(np.int64), 0, lv - 1)
-        for c in family.copulas
-    )
+    grids = np.clip(np.floor(family.cells / alpha + 0.5).astype(np.int64), 0, lv - 1)
     return QuantizedFamily(alpha, family.bins, family.deltas, grids)
 
 
@@ -98,16 +86,12 @@ def dequantize(q: QuantizedFamily) -> CopulaFamily:
     An all-zero grid decodes to the uniform copula. The result carries
     stride = 0: it is not a direct estimate.
     """
-    copulas = []
-    for grid in q.indices:
-        cells = grid.astype(np.float64) * q.alpha
-        total = float(cells.sum())
-        if total == 0.0:
-            cells = np.full((q.bins, q.bins), 1.0 / (q.bins * q.bins))
-        else:
-            cells = cells / total
-        copulas.append(EmpiricalCopula(q.bins, cells, 0))
-    return CopulaFamily(q.deltas, tuple(copulas), stride=0)
+    n = len(q.deltas)
+    cells = q.indices.reshape(n, -1).astype(np.float64) * q.alpha
+    totals = cells.sum(axis=1, keepdims=True)
+    empty = totals == 0.0
+    cells = np.where(empty, 1.0 / (q.bins * q.bins), cells / np.where(empty, 1.0, totals))
+    return CopulaFamily(q.deltas, cells.reshape(q.indices.shape), (0,) * n, stride=0)
 
 
 def pack(q: QuantizedFamily) -> bytes:
@@ -115,7 +99,7 @@ def pack(q: QuantizedFamily) -> bytes:
     indices row-major per displacement in family order, stream zero-padded
     to a byte boundary at the end."""
     L = q.bits
-    flat = np.concatenate([g.ravel() for g in q.indices])
+    flat = q.indices.ravel()
     shifts = np.arange(L - 1, -1, -1, dtype=np.int64)
     bits = ((flat[:, None] >> shifts) & 1).astype(np.uint8).ravel()
     return np.packbits(bits).tobytes()
@@ -145,11 +129,7 @@ def unpack(
     weights = 1 << np.arange(L - 1, -1, -1, dtype=np.int64)
     values = bits.reshape(n_cells, L).astype(np.int64) @ weights
     values = np.minimum(values, lv - 1)
-    grids = tuple(
-        values[k * bins * bins : (k + 1) * bins * bins].reshape(bins, bins)
-        for k in range(len(deltas))
-    )
-    return QuantizedFamily(alpha, bins, deltas, grids)
+    return QuantizedFamily(alpha, bins, deltas, values.reshape(len(deltas), bins, bins))
 
 
 def entropy_bits(values: np.ndarray) -> float:
@@ -170,10 +150,6 @@ class RdPoint:
     bound: float
 
 
-def enc_bound(bins: int, alpha: float) -> float:
-    return ENC_BOUND_COEFF * bins * bins * alpha
-
-
 def rd_point(family: CopulaFamily, alpha: float) -> RdPoint:
     q = quantize(family, alpha)
     decoded = dequantize(q)
@@ -182,7 +158,7 @@ def rd_point(family: CopulaFamily, alpha: float) -> RdPoint:
     rate_theory = n * (b2 - 1) * math.log2(1.0 / alpha)
     rate_emp = sum(b2 * entropy_bits(g) for g in q.indices)
     dist = d_pc(family, decoded).d_pc
-    return RdPoint(alpha, rate_theory, rate_emp, dist, enc_bound(family.bins, alpha))
+    return RdPoint(alpha, rate_theory, rate_emp, dist, enc_distortion_bound(family.bins, alpha))
 
 
 def rd_sweep(family: CopulaFamily, alphas: Sequence[float]) -> list[RdPoint]:

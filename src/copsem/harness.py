@@ -36,7 +36,6 @@ from .rank_copula import (
     DEFAULT_DELTAS,
     CopulaFamily,
     Displacement,
-    EmpiricalCopula,
     extract_family,
     non_overlapping_stride,
 )
@@ -121,18 +120,24 @@ def synthetic_corpus(
     experiments measure structural damage rather than clipping or histogram
     lumping.
     """
-    images = []
-    for k in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 11, k)))
-        base = rng.normal(0.0, 1.0, (size, size))
-        sigma = 0.6 + 0.45 * (k % 5)
-        kernel = 2 * int(math.ceil(3.0 * sigma)) + 1
-        tex = gaussian_blur_array(base, kernel, sigma)
-        tex = tex + 0.25 * rng.normal(0.0, 1.0, (size, size))
-        order = rankdata(tex.ravel(), method="ordinal") - 1
-        px = np.floor(order * 171.0 / tex.size).astype(np.uint8).reshape(size, size)
-        images.append((f"tex{k:02d}", GrayImage(size, size, px)))
-    return images
+    return [
+        (f"tex{k:02d}", _texture(seed, k, size, 0.6 + 0.45 * (k % 5), fine_noise=0.25))
+        for k in range(count)
+    ]
+
+
+def _texture(seed: int, k: int, size: int, sigma: float, fine_noise: float) -> GrayImage:
+    """Seeded normal noise, Gaussian-blurred at sigma, plus fine_noise times
+    fresh noise (no draw when 0), rank-flattened onto the codes 0..170."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 11, k)))
+    base = rng.normal(0.0, 1.0, (size, size))
+    kernel = 2 * int(math.ceil(3.0 * sigma)) + 1
+    tex = gaussian_blur_array(base, kernel, sigma)
+    if fine_noise:
+        tex = tex + fine_noise * rng.normal(0.0, 1.0, (size, size))
+    order = rankdata(tex.ravel(), method="ordinal") - 1
+    px = np.floor(order * 171.0 / tex.size).astype(np.uint8).reshape(size, size)
+    return GrayImage(size, size, px)
 
 
 def load_corpus(cfg: ExperimentConfig) -> list[tuple[str, GrayImage]]:
@@ -429,15 +434,7 @@ def fixture_image(cfg: ExperimentConfig) -> GrayImage:
     log-linear rate fit. Blurring the noise gives the copulas real
     structure and a clean, monotone decay instead.
     """
-    size = 256
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 11, 0)))
-    base = rng.normal(0.0, 1.0, (size, size))
-    sigma = 1.5
-    kernel = 2 * int(math.ceil(3.0 * sigma)) + 1
-    tex = gaussian_blur_array(base, kernel, sigma)
-    order = rankdata(tex.ravel(), method="ordinal") - 1
-    px = np.floor(order * 171.0 / tex.size).astype(np.uint8).reshape(size, size)
-    return GrayImage(size, size, px)
+    return _texture(cfg.seed, 0, 256, 1.5, fine_noise=0.0)
 
 
 def fixture_family(cfg: ExperimentConfig) -> CopulaFamily:
@@ -530,12 +527,8 @@ def mix_with_uniform(family: CopulaFamily, w: float) -> CopulaFamily:
     """(1 - w) * family + w * uniform, per copula."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1], got {w!r}")
-    b2 = family.bins * family.bins
-    copulas = tuple(
-        EmpiricalCopula(family.bins, (1.0 - w) * c.cells + w / b2, 0)
-        for c in family.copulas
-    )
-    return CopulaFamily(family.deltas, copulas, stride=0)
+    cells = (1.0 - w) * family.cells + w / (family.bins * family.bins)
+    return CopulaFamily(family.deltas, cells, (0,) * len(family.deltas), stride=0)
 
 
 def solve_decoder_weight(family: CopulaFamily, target: float, iters: int = 80) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_io import U8, GrayImage
-from .rank_copula import CopulaFamily, Displacement
+from .rank_copula import CopulaFamily, Displacement, _check_masses
 
 LN2 = math.log(2.0)
 SQRT_LN2 = math.sqrt(LN2)
@@ -30,14 +30,25 @@ class IncomparableFamiliesError(ValueError):
 
 def _as_dist(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError(f"{name}: empty distribution")
-    if arr.min() < 0.0:
-        raise ValueError(f"{name}: negative mass")
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"{name}: masses sum to {total!r}, expected 1 within 1e-12")
+    _check_masses(arr.reshape(1, -1), name)
     return arr
+
+
+def _js_rows(p: np.ndarray, q: np.ndarray) -> list[float]:
+    """JS divergence between matching rows of two (D, n) distribution arrays.
+
+    Each row sums over its own support, as the one-row case does; summing
+    zero-filled rows would change the summation order and the last bits."""
+    m = 0.5 * (p + q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tp = p * np.log(p / m)
+        tq = q * np.log(q / m)
+    out = []
+    for k in range(p.shape[0]):
+        js = 0.5 * float(np.sum(tp[k][p[k] > 0.0])) + 0.5 * float(np.sum(tq[k][q[k] > 0.0]))
+        # clamp the last-ulp float residue; mathematically 0 <= JS <= ln 2
+        out.append(min(max(js, 0.0), LN2))
+    return out
 
 
 def js_divergence(p, q) -> float:
@@ -52,14 +63,7 @@ def js_divergence(p, q) -> float:
     q = _as_dist(q, "q")
     if p.size != q.size:
         raise ValueError(f"length mismatch: {p.size} vs {q.size}")
-    m = 0.5 * (p + q)
-    pm = p > 0.0
-    qm = q > 0.0
-    js = 0.5 * float(np.sum(p[pm] * np.log(p[pm] / m[pm]))) + 0.5 * float(
-        np.sum(q[qm] * np.log(q[qm] / m[qm]))
-    )
-    # clamp the last-ulp float residue; mathematically 0 <= JS <= ln 2
-    return min(max(js, 0.0), LN2)
+    return _js_rows(p[None], q[None])[0]
 
 
 def l1_distance(p, q) -> float:
@@ -97,16 +101,16 @@ class DistortionReport:
 
 
 def d_pc(a: CopulaFamily, b: CopulaFamily) -> DistortionReport:
-    """Mean over displacements of sqrt(JS) between paired copulas."""
+    """Mean over displacements of sqrt(JS) between paired copulas. No mass
+    check runs here: every CopulaFamily was validated when it was built."""
     if a.deltas != b.deltas or a.bins != b.bins:
         raise IncomparableFamiliesError(
             f"families not comparable: deltas {a.deltas} vs {b.deltas}, "
             f"bins {a.bins} vs {b.bins}"
         )
-    rows = []
-    for delta, ca, cb in zip(a.deltas, a.copulas, b.copulas):
-        js = js_divergence(ca.cells, cb.cells)
-        rows.append((delta, js, math.sqrt(js)))
+    n = len(a.deltas)
+    js = _js_rows(a.cells.reshape(n, -1), b.cells.reshape(n, -1))
+    rows = [(delta, v, math.sqrt(v)) for delta, v in zip(a.deltas, js)]
     mean = sum(r[2] for r in rows) / len(rows)
     return DistortionReport(tuple(rows), mean)
 

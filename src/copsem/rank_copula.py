@@ -41,6 +41,21 @@ class EmptySampleError(ValueError):
     """No valid anchor pairs for the requested displacement and stride."""
 
 
+def _check_masses(rows: np.ndarray, name: str) -> None:
+    """Raise ValueError unless each row of the 2-D float array is a
+    distribution: finite, nonnegative, summing to 1 within 1e-12."""
+    if rows.size == 0:
+        raise ValueError(f"{name}: empty distribution")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{name}: non-finite mass")
+    if rows.min() < 0.0:
+        raise ValueError(f"{name}: negative mass")
+    totals = rows.sum(axis=1)
+    worst = float(totals[np.argmax(np.abs(totals - 1.0))])
+    if abs(worst - 1.0) > 1e-12:
+        raise ValueError(f"{name}: masses sum to {worst!r}, expected 1 within 1e-12")
+
+
 @dataclass(frozen=True, eq=False)
 class RankField:
     """Normalized midranks u = midrank / (N + 1), all strictly inside (0, 1)."""
@@ -77,15 +92,10 @@ class EmpiricalCopula:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
         if self.n_pairs < 0:
             raise ValueError("n_pairs must be >= 0")
-        arr = np.asarray(self.cells, dtype=np.float64)
+        arr = np.array(self.cells, dtype=np.float64)
         if arr.shape != (self.bins, self.bins):
             raise ValueError(f"cells shape {arr.shape} != ({self.bins}, {self.bins})")
-        if arr.min() < 0.0:
-            raise ValueError("cell masses must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"cell masses sum to {total!r}, expected 1 within 1e-12")
-        arr = arr.copy()
+        _check_masses(arr.reshape(1, -1), "cell masses")
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
 
@@ -101,14 +111,18 @@ class EmpiricalCopula:
 
 @dataclass(frozen=True, eq=False)
 class CopulaFamily:
-    """One empirical copula per displacement, all at the same bin count.
+    """One B x B empirical copula per displacement, stored as one array.
 
-    stride records the anchor sub-sampling used at estimation time;
-    stride = 0 marks a family that is not a direct estimate.
+    cells is a read-only float64 (D, B, B) array, the same layout as the
+    JSON "cells"; cells[k] is the copula of deltas[k], estimated from
+    n_pairs[k] anchor pairs. stride records the anchor sub-sampling used at
+    estimation time. n_pairs all 0 and stride = 0 mark a family that is not
+    a direct estimate (e.g. a decoded or mixed one).
     """
 
     deltas: tuple[Displacement, ...]
-    copulas: tuple[EmpiricalCopula, ...]
+    cells: np.ndarray
+    n_pairs: tuple[int, ...]
     stride: int = 1
 
     def __post_init__(self):
@@ -117,20 +131,23 @@ class CopulaFamily:
             raise ValueError("a family needs at least one displacement")
         if len(set(deltas)) != len(deltas):
             raise ValueError("displacements must be distinct")
-        copulas = tuple(self.copulas)
-        if len(copulas) != len(deltas):
-            raise ValueError("one copula per displacement required")
-        bins = {c.bins for c in copulas}
-        if len(bins) != 1:
-            raise ValueError("all copulas in a family must share the bin count")
+        arr = np.array(self.cells, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[0] != len(deltas) or arr.shape[1] != arr.shape[2]:
+            raise ValueError(f"cells shape {arr.shape} is not ({len(deltas)}, B, B)")
+        _check_masses(arr.reshape(len(deltas), -1), "cell masses")
+        n_pairs = tuple(int(n) for n in self.n_pairs)
+        if len(n_pairs) != len(deltas) or min(n_pairs) < 0:
+            raise ValueError(f"n_pairs {n_pairs} must hold one count >= 0 per displacement")
         if self.stride < 0:
             raise ValueError("stride must be >= 0")
+        arr.flags.writeable = False
         object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "copulas", copulas)
+        object.__setattr__(self, "cells", arr)
+        object.__setattr__(self, "n_pairs", n_pairs)
 
     @property
     def bins(self) -> int:
-        return self.copulas[0].bins
+        return self.cells.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, CopulaFamily):
@@ -138,41 +155,46 @@ class CopulaFamily:
         return (
             self.deltas == other.deltas
             and self.stride == other.stride
-            and all(a == b for a, b in zip(self.copulas, other.copulas))
+            and self.n_pairs == other.n_pairs
+            and np.array_equal(self.cells, other.cells)
         )
 
     def to_json(self) -> str:
         """Serialize with 17-significant-digit reals (exact float round-trip)."""
         cells = [
-            "[" + ",".join(format(v, ".17g") for v in c.cells.ravel()) + "]"
-            for c in self.copulas
+            "[" + ",".join(format(v, ".17g") for v in row) + "]"
+            for row in self.cells.reshape(len(self.deltas), -1)
         ]
         head = {
             "version": SERIAL_VERSION,
             "bins": self.bins,
             "stride": self.stride,
             "deltas": [[d.dx, d.dy] for d in self.deltas],
-            "n_pairs": [c.n_pairs for c in self.copulas],
+            "n_pairs": list(self.n_pairs),
         }
         body = json.dumps(head, separators=(",", ":"))
         return body[:-1] + ',"cells":[' + ",".join(cells) + "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "CopulaFamily":
-        doc = json.loads(text)
+        """Parse to_json output. Malformed JSON, a missing or mistyped field
+        and the NaN and Infinity tokens all raise ValueError."""
+        doc = json.loads(text, parse_constant=_reject_json_constant)
+        if not isinstance(doc, dict):
+            raise ValueError("family JSON must be an object")
         if doc.get("version") != SERIAL_VERSION:
             raise ValueError(f"unsupported serialization version {doc.get('version')!r}")
-        bins = int(doc["bins"])
-        deltas = tuple(Displacement(int(dx), int(dy)) for dx, dy in doc["deltas"])
-        copulas = tuple(
-            EmpiricalCopula(
-                bins,
-                np.asarray(cells, dtype=np.float64).reshape(bins, bins),
-                int(n),
-            )
-            for cells, n in zip(doc["cells"], doc["n_pairs"])
-        )
-        return cls(deltas, copulas, int(doc["stride"]))
+        try:
+            bins = int(doc["bins"])
+            deltas = tuple(Displacement(int(dx), int(dy)) for dx, dy in doc["deltas"])
+            cells = np.asarray(doc["cells"], dtype=np.float64).reshape(-1, bins, bins)
+            return cls(deltas, cells, tuple(doc["n_pairs"]), int(doc["stride"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed family JSON: {exc!r}") from None
+
+
+def _reject_json_constant(token: str):
+    raise ValueError(f"non-finite number {token} in family JSON")
 
 
 def rank_transform(img: GrayImage) -> RankField:
@@ -238,8 +260,9 @@ def extract_family(
     """
     field = rank_transform(img)
     deltas = tuple(Displacement(*d) for d in deltas)
-    copulas = tuple(extract_copula(field, d, bins, stride) for d in deltas)
-    return CopulaFamily(deltas, copulas, stride)
+    copulas = [extract_copula(field, d, bins, stride) for d in deltas]
+    cells = np.asarray([c.cells for c in copulas])
+    return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
 
 
 def coarsen(copula: EmpiricalCopula, factor: int) -> EmpiricalCopula:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from copsem.rank_copula import CopulaFamily, Displacement, EmpiricalCopula
+from copsem.rank_copula import CopulaFamily, Displacement
 
 settings.register_profile(
     "suite",
@@ -17,16 +17,11 @@ settings.load_profile("suite")
 def make_family(rng, bins=8, n_deltas=4, conc=1.0):
     """Random Dirichlet copula family, not tied to any image."""
     deltas = ((1, 0), (0, 1), (1, 1), (1, -1))[:n_deltas]
-    copulas = tuple(
-        EmpiricalCopula(
-            bins,
-            rng.dirichlet(np.full(bins * bins, conc)).reshape(bins, bins),
-            0,
-        )
-        for _ in range(n_deltas)
+    cells = np.array(
+        [rng.dirichlet(np.full(bins * bins, conc)).reshape(bins, bins) for _ in range(n_deltas)]
     )
     return CopulaFamily(
-        tuple(Displacement(*d) for d in deltas), copulas, stride=0
+        tuple(Displacement(*d) for d in deltas), cells, (0,) * n_deltas, stride=0
     )
 
 

@@ -24,12 +24,15 @@ papered over:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import time
 
 import numpy as np
 import pytest
+import scipy
 
 from copsem.bounds import (
     ConcentrationParams,
@@ -342,15 +345,18 @@ def test_fixture_rate_sweep_feeds_design_surface():
     )
 
 
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
+
+
 def test_reruns_write_identical_csv_bytes(tmp_path):
     """Every experiment, re-run with the same seed, writes byte-identical
-    CSV artifacts."""
-    params = ConcentrationParams(4, 2, 0.1, 0.05)
+    CSV artifacts, and at the default config they match the recorded
+    golden SHA-256 of each CSV."""
 
     def run_all(out_dir: str):
         run_axiom_table(CFG, out_dir=out_dir)
         run_rd_curve(CFG, out_dir=out_dir)
-        run_concentration(CFG, params, trials=120, out_dir=out_dir)
+        run_concentration(CFG, out_dir=out_dir)
         run_channel_sweep(CFG, out_dir=out_dir)
         run_sla_pipeline(CFG, out_dir=out_dir)
         run_sla_surface(CFG, out_dir=out_dir)
@@ -368,3 +374,18 @@ def test_reruns_write_identical_csv_bytes(tmp_path):
             blob_b = fh.read()
         assert blob_a == blob_b, f"{name} differs between identical runs"
     print(f"PASS determinism: {len(names)} CSV artifacts byte-identical on re-run")
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert golden["seed"] == CFG.seed
+    assert sorted(golden["csv_sha256"]) == names
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if any(golden[lib] != v for lib, v in versions.items()):
+        pytest.skip(
+            f"golden hashes recorded with numpy {golden['numpy']} / scipy "
+            f"{golden['scipy']}; this run has {versions}"
+        )
+    for name in names:
+        with open(os.path.join(dir_a, name), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == golden["csv_sha256"][name], f"{name} differs from perfbench/golden.json"
+    print(f"PASS golden: {len(names)} CSV artifacts match perfbench/golden.json")

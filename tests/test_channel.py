@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from copsem.channel import (
     ChannelConfig,
     ber_experiment,
-    family_ber_experiment,
     transmit,
     trial_seed,
 )
@@ -76,8 +75,9 @@ def test_experiment_shape_factor(rng):
 
 def test_mean_grows_with_ber(rng):
     fam = make_family(rng)
-    lo = family_ber_experiment(fam, 1 / 64, 1e-3, 100, 1001)
-    hi = family_ber_experiment(fam, 1 / 64, 1e-2, 100, 1002)
+    q = quantize(fam, 1 / 64)
+    lo = ber_experiment(q, 1e-3, 100, 1001)
+    hi = ber_experiment(q, 1e-2, 100, 1002)
     assert 0.0 < lo.mean_d_pc < hi.mean_d_pc
 
 
@@ -86,5 +86,4 @@ def test_corrupted_roundtrip_still_decodes(rng):
     q = quantize(fam, 1 / 64)
     noisy = transmit(pack(q), ChannelConfig(0.05, 4))
     back = unpack(noisy, 1 / 64, 8, fam.deltas)
-    for idx in back.indices:
-        assert int(idx.max()) < q.levels
+    assert int(back.indices.max()) < q.levels

@@ -12,6 +12,7 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from copsem.cli import main
@@ -49,6 +50,33 @@ def test_bad_delta_flag_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
+    tiny = tmp_path / "tiny.pgm"  # 1x1: no pixel pairs at any displacement
+    tiny.write_bytes(b"P5\n1 1\n255\n\x07")
+    not_pgm = tmp_path / "not.pgm"
+    not_pgm.write_bytes(b"P2\n1 1\n255\n7\n")
+    fam_json = CopulaFamily(((1, 0),), np.full((1, 2, 2), 0.25), (0,), stride=0).to_json()
+    fam = tmp_path / "fam.json"
+    fam.write_text(fam_json)
+    nan = tmp_path / "nan.json"  # used to score d_pc=0.0 and exit 0
+    nan.write_text(fam_json.replace("0.25", "NaN", 1))
+    no_cells = tmp_path / "no_cells.json"
+    no_cells.write_text(fam_json.replace('"cells"', '"cellz"'))
+    paths = _write_corpus(tmp_path, count=1)
+    for argv in (
+        ["extract", "--out", str(tmp_path / "out"), str(tiny)],
+        ["dpc", str(nan), str(nan)],
+        ["dpc", str(no_cells), str(no_cells)],
+        ["dpc", str(not_pgm), paths[0]],
+        ["dpc", str(fam), paths[0]],  # bins 2 vs 8: incomparable
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("copsem: "), captured.err
+
+
 def test_extract_writes_family_json(tmp_path, capsys):
     paths = _write_corpus(tmp_path, count=2)
     out = tmp_path / "out"
@@ -59,7 +87,7 @@ def test_extract_writes_family_json(tmp_path, capsys):
     for i, line in enumerate(printed):
         assert line == str(out / f"img{i}.family.json")
         fam = CopulaFamily.from_json(open(line, encoding="utf-8").read())
-        assert fam.copulas[0].bins == 8
+        assert fam.cells.shape == (4, 8, 8)
         assert len(fam.deltas) == 4
 
 
@@ -72,7 +100,7 @@ def test_extract_honors_bins_and_delta_flags(tmp_path, capsys):
     assert rc == 0
     line = capsys.readouterr().out.strip()
     fam = CopulaFamily.from_json(open(line, encoding="utf-8").read())
-    assert fam.copulas[0].bins == 4
+    assert fam.cells.shape == (2, 4, 4)
     assert [(d.dx, d.dy) for d in fam.deltas] == [(1, 0), (0, 2)]
 
 

@@ -8,7 +8,6 @@ from copsem.codec import (
     QuantizedFamily,
     bits_per_cell,
     dequantize,
-    enc_bound,
     entropy_bits,
     levels_for_alpha,
     pack,
@@ -18,7 +17,7 @@ from copsem.codec import (
     unpack,
 )
 from copsem.metrics import SQRT_LN2, d_pc
-from copsem.rank_copula import CopulaFamily, Displacement, EmpiricalCopula
+from copsem.rank_copula import CopulaFamily, Displacement
 
 from conftest import make_family
 
@@ -26,8 +25,7 @@ RIGHT = Displacement(1, 0)
 
 
 def two_cell_family(cells):
-    cop = EmpiricalCopula(2, np.asarray(cells, dtype=float), 0)
-    return CopulaFamily((RIGHT,), (cop,), stride=0)
+    return CopulaFamily((RIGHT,), np.asarray([cells], dtype=float), (0,), stride=0)
 
 
 @pytest.mark.parametrize(
@@ -51,7 +49,7 @@ def test_quantize_lattice_example():
     q = quantize(fam, 0.25)
     assert q.indices[0].tolist() == [[2, 0], [0, 2]]
     back = dequantize(q)
-    assert np.array_equal(back.copulas[0].cells, fam.copulas[0].cells)
+    assert np.array_equal(back.cells[0], fam.cells[0])
 
 
 def test_quantize_alpha_one():
@@ -71,14 +69,10 @@ def test_quantize_alpha_range():
 
 def test_uniform_fixed_point(rng):
     fam = make_family(rng, bins=4)
-    uniform = CopulaFamily(
-        fam.deltas,
-        tuple(EmpiricalCopula(4, np.full((4, 4), 1 / 16), 0) for _ in fam.deltas),
-        stride=0,
-    )
+    n = len(fam.deltas)
+    uniform = CopulaFamily(fam.deltas, np.full((n, 4, 4), 1 / 16), (0,) * n, stride=0)
     back = dequantize(quantize(uniform, 1 / 16))
-    for cop in back.copulas:
-        assert np.allclose(cop.cells, 1 / 16, atol=1e-15)
+    assert np.allclose(back.cells, 1 / 16, atol=1e-15)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1 / 8, 1 / 64, 0.3, 0.4]))
@@ -86,18 +80,17 @@ def test_per_cell_error_below_half_step(seed, alpha):
     r = np.random.default_rng(seed)
     fam = make_family(r, bins=4, n_deltas=2)
     q = quantize(fam, alpha)
-    for cop, idx in zip(fam.copulas, q.indices):
-        assert np.abs(idx * alpha - cop.cells).max() <= alpha / 2 + 1e-12
+    assert np.abs(q.indices * alpha - fam.cells).max() <= alpha / 2 + 1e-12
 
 
 def test_zero_sum_decodes_to_uniform():
     # all cells quantize to index 0, decode substitutes the uniform copula
     cells = np.full((8, 8), 1.0 / 64)
-    fam = CopulaFamily((RIGHT,), (EmpiricalCopula(8, cells, 0),), stride=0)
+    fam = CopulaFamily((RIGHT,), cells[None], (0,), stride=0)
     q = quantize(fam, 1 / 8)
     assert int(q.indices[0].max()) == 0
     back = dequantize(q)
-    assert np.allclose(back.copulas[0].cells, 1.0 / 64)
+    assert np.allclose(back.cells[0], 1.0 / 64)
 
 
 def test_pack_layout_single_byte():
@@ -140,6 +133,8 @@ def test_unpack_truncated():
         unpack(data[:-1], 1 / 64, 2, (RIGHT,))
     with pytest.raises(ValueError):
         unpack(data + b"\x00", 1 / 64, 2, (RIGHT,))
+    with pytest.raises(ValueError):
+        unpack(b"", 1 / 64, 2, ())
 
 
 def test_unpack_clamps_corrupt_indices():
@@ -173,9 +168,11 @@ def test_entropy_bits_known():
     assert entropy_bits(np.array([3, 3, 3])) == 0.0
 
 
-def test_enc_bound_anchor():
-    assert abs(enc_bound(8, 1 / 64) - 0.2081386527894244) < 1e-15
-    assert abs(enc_bound(8, 1 / 64) - (math.sqrt(math.log(2)) / 4) * 64 / 64) < 1e-15
+def test_enc_bound_anchor(rng):
+    # each operating point carries the encoder distortion bound for its step
+    bound = rd_point(make_family(rng, bins=8), 1 / 64).bound
+    assert abs(bound - 0.2081386527894244) < 1e-15
+    assert abs(bound - (math.sqrt(math.log(2)) / 4) * 64 / 64) < 1e-15
 
 
 def test_sweep_order_and_bounds(rng):
@@ -211,7 +208,7 @@ def test_sweep_interior_resonance_is_real():
     sign = (np.indices((8, 8)).sum(axis=0) % 2) * 2 - 1
     cells = np.full((8, 8), 1.0 / 64) * (1.0 + 0.02 * sign)
     cells /= cells.sum()
-    fam = CopulaFamily((RIGHT,), (EmpiricalCopula(8, cells, 0),), stride=0)
+    fam = CopulaFamily((RIGHT,), cells[None], (0,), stride=0)
     pts = rd_sweep(fam, (1 / 16, 1 / 32, 1 / 64))
     d16, d32, d64 = (p.distortion for p in pts)
     assert d32 > 10.0 * d16

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from copsem.codec import dequantize, quantize
 from copsem.image_io import GrayImage, synth_noise
 from copsem.metrics import (
     LN2,
@@ -51,8 +52,9 @@ def test_js_length_mismatch():
 
 
 def test_js_rejects_non_distribution():
-    with pytest.raises(ValueError):
-        js_divergence([0.5, 0.6], [0.5, 0.5])
+    for bad in ([0.5, 0.6], [float("nan"), 0.5], [float("inf"), 0.5], [1.5, -0.5]):
+        with pytest.raises(ValueError):
+            js_divergence(bad, [0.5, 0.5])
 
 
 def test_l1_tv():
@@ -126,13 +128,13 @@ def test_d_pc_identity():
 
 
 def test_d_pc_maximum():
-    from copsem.rank_copula import CopulaFamily, EmpiricalCopula
+    from copsem.rank_copula import CopulaFamily
 
     deltas = (Displacement(1, 0), Displacement(0, 1))
-    a = EmpiricalCopula(2, np.array([[0.5, 0.5], [0.0, 0.0]]), 0)
-    b = EmpiricalCopula(2, np.array([[0.0, 0.0], [0.5, 0.5]]), 0)
-    fam_a = CopulaFamily(deltas, (a, a), stride=0)
-    fam_b = CopulaFamily(deltas, (b, b), stride=0)
+    a = np.array([[0.5, 0.5], [0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [0.5, 0.5]])
+    fam_a = CopulaFamily(deltas, np.array([a, a]), (0, 0), stride=0)
+    fam_b = CopulaFamily(deltas, np.array([b, b]), (0, 0), stride=0)
     report = d_pc(fam_a, fam_b)
     assert abs(report.d_pc - SQRT_LN2) < 1e-12
     assert abs(report.d_pc - 0.832555) < 1e-6
@@ -144,6 +146,28 @@ def test_d_pc_mean_of_sqrt_js(rng):
     report = d_pc(fam_a, fam_b)
     assert abs(report.d_pc - np.mean([r[2] for r in report.per_delta])) < 1e-12
     assert report.d_pc == d_pc(fam_b, fam_a).d_pc
+    # decoded families with empty cells: each row sums over its own support,
+    # so every per-displacement term is the one-row JS bit for bit, and both
+    # equal the support-only sum the metric has always used
+    for alpha in (1 / 8, 1 / 16, 1 / 32):
+        dec_a = dequantize(quantize(make_family(rng, conc=0.3), alpha))
+        dec_b = dequantize(quantize(make_family(rng, conc=0.3), alpha))
+        assert (dec_a.cells == 0.0).any() and (dec_b.cells == 0.0).any()
+        rows = d_pc(dec_a, dec_b).per_delta
+        for k, (_, js, root) in enumerate(rows):
+            p, q = dec_a.cells[k].ravel(), dec_b.cells[k].ravel()
+            assert js == js_divergence(p, q) == _support_sum_js(p, q)
+            assert root == math.sqrt(js)
+
+
+def _support_sum_js(p, q):
+    """Reference JS: each KL term summed over its own support only."""
+    m = 0.5 * (p + q)
+    pm, qm = p > 0.0, q > 0.0
+    js = 0.5 * float(np.sum(p[pm] * np.log(p[pm] / m[pm]))) + 0.5 * float(
+        np.sum(q[qm] * np.log(q[qm] / m[qm]))
+    )
+    return min(max(js, 0.0), LN2)
 
 
 def test_d_pc_incomparable(rng):

@@ -46,9 +46,8 @@ def test_rank_open_interval(rng):
 
 def test_copula_two_by_two():
     fam = extract_family(as_image([[1, 2], [3, 4]]), deltas=(RIGHT,), bins=2)
-    cop = fam.copulas[0]
-    assert cop.cells.tolist() == [[0.5, 0.0], [0.0, 0.5]]
-    assert cop.n_pairs == 2
+    assert fam.cells[0].tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    assert fam.n_pairs[0] == 2
 
 
 def test_copula_empty_sample():
@@ -59,13 +58,13 @@ def test_copula_empty_sample():
 
 def test_copula_iid_uniform_cells():
     img = synth_noise(1024, 1024, 314)
-    cop = extract_family(img, deltas=(RIGHT,), bins=4).copulas[0]
-    assert np.abs(cop.cells - 1.0 / 16).max() < 0.005
+    cells = extract_family(img, deltas=(RIGHT,), bins=4).cells[0]
+    assert np.abs(cells - 1.0 / 16).max() < 0.005
 
 
 def test_constant_image_point_mass():
     fam = extract_family(as_image(np.full((5, 5), 9)), deltas=(RIGHT,), bins=8)
-    cells = fam.copulas[0].cells
+    cells = fam.cells[0]
     # every pair lands in the middle bin: u = 0.5 -> bin 4
     assert cells[4, 4] == 1.0
     assert cells.sum() == 1.0
@@ -87,17 +86,16 @@ def test_monotone_invariance(seed, map_idx):
     )
     fa = extract_family(img, bins=8)
     fb = extract_family(remap, bins=8)
-    for ca, cb in zip(fa.copulas, fb.copulas):
-        assert np.array_equal(ca.cells, cb.cells)
+    assert np.array_equal(fa.cells, fb.cells)
 
 
 def test_marginal_uniformity_all_distinct(rng):
     perm = rng.permutation(256).astype(np.uint8).reshape(16, 16)
     fam = extract_family(GrayImage(16, 16, perm), bins=8)
-    for cop in fam.copulas:
-        bound = 8.0 / cop.n_pairs + 8.0 / 256.0
+    for cells, n_pairs in zip(fam.cells, fam.n_pairs):
+        bound = 8.0 / n_pairs + 8.0 / 256.0
         for axis in (0, 1):
-            marg = cop.cells.sum(axis=axis)
+            marg = cells.sum(axis=axis)
             assert np.abs(marg - 1.0 / 8).max() <= 2.0 * bound
 
 
@@ -107,8 +105,8 @@ def test_translation_consistency():
     right = GrayImage(256, 256, big.pixels[:, 256:].copy())
     fl = extract_family(left)
     fr = extract_family(right)
-    for a, b in zip(fl.copulas, fr.copulas):
-        assert np.abs(a.cells - b.cells).sum() < 0.05
+    for a, b in zip(fl.cells, fr.cells):
+        assert np.abs(a - b).sum() < 0.05
 
 
 def test_non_overlapping_stride():
@@ -120,8 +118,8 @@ def test_strided_extraction_counts():
     img = synth_noise(32, 32, 4)
     dense = extract_family(img, deltas=(RIGHT,), bins=4, stride=1)
     sparse = extract_family(img, deltas=(RIGHT,), bins=4, stride=3)
-    assert dense.copulas[0].n_pairs == 32 * 31
-    assert sparse.copulas[0].n_pairs == 11 * 11
+    assert dense.n_pairs[0] == 32 * 31
+    assert sparse.n_pairs[0] == 11 * 11
     assert sparse.stride == 3
 
 
@@ -131,11 +129,34 @@ def test_family_validation():
         extract_family(img, deltas=(RIGHT, RIGHT), bins=4)
     with pytest.raises(ValueError):
         extract_family(img, deltas=(), bins=4)
+    uniform = np.full((2, 2, 2), 0.25)
+    nan = uniform.copy()
+    nan[1, 0, 0] = np.nan
+    bad_cells = [
+        nan,  # NaN slips past "min < 0" and "|sum - 1| > tol" alike
+        np.array([[[0.5, -0.25], [0.5, 0.25]]] * 2),
+        uniform * 1.01,
+        uniform[:1],
+        np.full((2, 2, 3), 1 / 6),
+    ]
+    for cells in bad_cells:
+        with pytest.raises(ValueError):
+            CopulaFamily((RIGHT, DOWN), cells, (0, 0), stride=0)
+    with pytest.raises(ValueError):
+        CopulaFamily((RIGHT, DOWN), uniform, (0,), stride=0)
+    with pytest.raises(ValueError):
+        EmpiricalCopula(2, nan[1], 0)
+    doc = CopulaFamily((RIGHT, DOWN), uniform, (0, 0), stride=0).to_json()
+    bad_docs = [doc.replace("0.25", token, 1) for token in ("NaN", "Infinity", "-Infinity")]
+    bad_docs += ["[1]", doc.replace('"n_pairs"', '"pairs"'), doc.replace('"stride":0', '"stride":null')]
+    for text in bad_docs:
+        with pytest.raises(ValueError):
+            CopulaFamily.from_json(text)
 
 
 def test_coarsen_blocks():
     img = synth_noise(64, 64, 12)
-    cop = extract_family(img, deltas=(RIGHT,), bins=8).copulas[0]
+    cop = extract_copula(rank_transform(img), RIGHT, bins=8)
     half = coarsen(cop, 2)
     assert half.bins == 4
     assert abs(half.cells.sum() - 1.0) < 1e-12
@@ -158,9 +179,8 @@ def test_serialization_roundtrip():
     back = CopulaFamily.from_json(doc)
     assert back.deltas == fam.deltas
     assert back.stride == fam.stride
-    for a, b in zip(back.copulas, fam.copulas):
-        assert np.array_equal(a.cells, b.cells)
-        assert a.n_pairs == b.n_pairs
+    assert np.array_equal(back.cells, fam.cells)
+    assert back.n_pairs == fam.n_pairs
     payload = json.loads(doc)
     assert payload["version"] == 1
     assert len(payload["cells"][0]) == 64
@@ -178,6 +198,6 @@ def test_serial_matches_threaded():
 
 def test_gradient_family_smoke():
     fam = extract_family(synth_gradient(16, 16))
-    assert len(fam.copulas) == 4
-    for cop in fam.copulas:
-        assert abs(cop.cells.sum() - 1.0) < 1e-12
+    assert fam.cells.shape[0] == 4
+    for cells in fam.cells:
+        assert abs(cells.sum() - 1.0) < 1e-12
