@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .bounds import (
     ConcentrationParams,
@@ -135,7 +134,7 @@ def _texture(seed: int, k: int, size: int, sigma: float, fine_noise: float) -> G
     tex = gaussian_blur_array(base, kernel, sigma)
     if fine_noise:
         tex = tex + fine_noise * rng.normal(0.0, 1.0, (size, size))
-    order = rankdata(tex.ravel(), method="ordinal") - 1
+    order = np.argsort(np.argsort(tex.ravel(), kind="stable"))  # ordinal ranks, 0-based
     px = np.floor(order * 171.0 / tex.size).astype(np.uint8).reshape(size, size)
     return GrayImage(size, size, px)
 

@@ -37,6 +37,10 @@ class PgmTruncatedError(PgmError):
     """Payload shorter than width * height."""
 
 
+class PgmPixelError(PgmError):
+    """A pixel value above the header's maxval."""
+
+
 class DomainError(ValueError):
     """Operation applied to an image in the wrong pixel domain."""
 
@@ -136,6 +140,8 @@ def read_pgm(data: bytes) -> GrayImage:
             f"payload holds {len(payload)} bytes, needs {width * height}"
         )
     px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    if px.max() > maxval:
+        raise PgmPixelError(f"pixel value {px.max()} exceeds maxval {maxval}")
     return GrayImage(width, height, px.copy(), U8)
 
 

@@ -146,28 +146,25 @@ def ssim(a: GrayImage, b: GrayImage) -> float:
     partial border strips are dropped.
     """
     _check_u8_pair(a, b)
-    x = a.pixels.astype(np.float64)
-    y = b.pixels.astype(np.float64)
+    x, y = _windows(a.pixels), _windows(b.pixels)
+    mx, my = x.mean(axis=(1, 2)), y.mean(axis=(1, 2))
+    vx, vy = x.var(axis=(1, 2)), y.var(axis=(1, 2))
+    cov = ((x - mx[:, None, None]) * (y - my[:, None, None])).mean(axis=(1, 2))
+    num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
+    return float(np.mean(num / den))
+
+
+def _windows(pixels: np.ndarray) -> np.ndarray:
+    """The windows as one float64 (n, rows, cols) array. The moments of an 8x8
+    u8 window are exact in float64, so their summation order cannot matter."""
+    x = pixels.astype(np.float64)
     h, w = x.shape
     k = SSIM_WINDOW
     if h < k or w < k:
-        wins_x = [x]
-        wins_y = [y]
-    else:
-        bh, bw = h // k, w // k
-        xb = x[: bh * k, : bw * k].reshape(bh, k, bw, k).transpose(0, 2, 1, 3)
-        yb = y[: bh * k, : bw * k].reshape(bh, k, bw, k).transpose(0, 2, 1, 3)
-        wins_x = xb.reshape(-1, k, k)
-        wins_y = yb.reshape(-1, k, k)
-    vals = []
-    for wx, wy in zip(wins_x, wins_y):
-        mx, my = wx.mean(), wy.mean()
-        vx, vy = wx.var(), wy.var()
-        cov = ((wx - mx) * (wy - my)).mean()
-        num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
-        den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
-        vals.append(num / den)
-    return float(np.mean(vals))
+        return x[None]
+    bh, bw = h // k, w // k
+    return x[: bh * k, : bw * k].reshape(bh, k, bw, k).transpose(0, 2, 1, 3).reshape(-1, k, k)
 
 
 def format_float(x: float) -> str:

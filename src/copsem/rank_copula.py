@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .image_io import GrayImage
+from .image_io import U8, GrayImage
 
 SERIAL_VERSION = 1
 
@@ -198,17 +197,22 @@ def _reject_json_constant(token: str):
 
 
 def rank_transform(img: GrayImage) -> RankField:
-    """Map pixels to u = midrank / (N + 1), midrank = mean rank over ties (1..N)."""
-    ranks = rankdata(img.pixels.ravel(), method="average")
-    u = ranks / (img.pixels.size + 1)
-    return RankField(img.width, img.height, u.reshape(img.height, img.width))
+    """Map pixels to u = midrank / (N + 1), midrank = mean rank over ties (1..N).
+    u8 images count their values with bincount instead of sorting."""
+    px = img.pixels.ravel()
+    if img.domain == U8:
+        inverse, counts = px, np.bincount(px, minlength=256)
+    else:
+        _, inverse, counts = np.unique(px, return_inverse=True, return_counts=True)
+    cum = np.cumsum(counts)
+    u = 0.5 * (cum + (cum - counts) + 1) / (px.size + 1)
+    return RankField(img.width, img.height, u[inverse].reshape(img.height, img.width))
 
 
-def _anchor_axis(extent: int, offset: int, stride: int) -> np.ndarray:
+def _anchor_range(extent: int, offset: int, stride: int) -> range:
+    """Multiples of stride in [0, extent) whose partner at offset is inside too."""
     lo = max(0, -offset)
-    hi = extent - max(0, offset)
-    xs = np.arange(0, extent, stride)
-    return xs[(xs >= lo) & (xs < hi)]
+    return range(-(-lo // stride) * stride, extent - max(0, offset), stride)
 
 
 def extract_copula(
@@ -231,19 +235,19 @@ def extract_copula(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if delta == (0, 0):
         raise ValueError("displacement (0, 0) is degenerate")
-    xs = _anchor_axis(field.width, delta.dx, stride)
-    ys = _anchor_axis(field.height, delta.dy, stride)
-    n_pairs = xs.size * ys.size
+    xs = _anchor_range(field.width, delta.dx, stride)
+    ys = _anchor_range(field.height, delta.dy, stride)
+    n_pairs = len(xs) * len(ys)
     if n_pairs == 0:
         raise EmptySampleError(
             f"no valid anchors for delta={tuple(delta)} stride={stride} "
             f"on a {field.width}x{field.height} field"
         )
-    a = field.u[np.ix_(ys, xs)].ravel()
-    b = field.u[np.ix_(ys + delta.dy, xs + delta.dx)].ravel()
-    i = np.minimum((a * bins).astype(np.int64), bins - 1)
-    j = np.minimum((b * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(i * bins + j, minlength=bins * bins)
+    dx, dy = delta
+    cell = np.minimum((field.u * bins).astype(np.int64), bins - 1)
+    i = cell[ys.start : ys.stop : stride, xs.start : xs.stop : stride]
+    j = cell[ys.start + dy : ys.stop + dy : stride, xs.start + dx : xs.stop + dx : stride]
+    counts = np.bincount((i * bins + j).ravel(), minlength=bins * bins)
     cells = counts.reshape(bins, bins) / n_pairs
     return EmpiricalCopula(bins, cells, int(n_pairs))
 

@@ -11,6 +11,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -63,8 +65,12 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
     no_cells = tmp_path / "no_cells.json"
     no_cells.write_text(fam_json.replace('"cells"', '"cellz"'))
     paths = _write_corpus(tmp_path, count=1)
+    missing = str(tmp_path / "missing.json")
     for argv in (
         ["extract", "--out", str(tmp_path / "out"), str(tiny)],
+        ["dpc", missing, str(fam)],
+        ["dpc", "--config", str(tmp_path / "nope.json"), str(fam), str(fam)],
+        ["axioms", "--out", str(tmp_path / "out"), "--corpus", str(tmp_path / "gone.pgm")],
         ["dpc", str(nan), str(nan)],
         ["dpc", str(no_cells), str(no_cells)],
         ["dpc", str(not_pgm), paths[0]],
@@ -75,6 +81,18 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("copsem: "), captured.err
+
+
+def test_cli_import_loads_no_scipy_stats():
+    # importing scipy.stats adds start-up time and memory, and no kernel needs it
+    code = "import sys, copsem.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_extract_writes_family_json(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from copsem.image_io import (
     U8,
@@ -8,7 +9,9 @@ from copsem.image_io import (
     GrayImage,
     PgmDimensionError,
     PgmHeaderError,
+    PgmError,
     PgmMaxvalError,
+    PgmPixelError,
     PgmTruncatedError,
     read_pgm,
     synth_gradient,
@@ -55,6 +58,31 @@ def test_bad_dimensions():
 def test_truncated_payload():
     with pytest.raises(PgmTruncatedError):
         read_pgm(b"P5\n2 2\n255\n\x01\x02\x03")
+
+
+def test_pixel_above_maxval():
+    with pytest.raises(PgmPixelError, match="pixel value 255 exceeds maxval 10"):
+        read_pgm(b"P5 2 2 10 " + bytes([0, 5, 200, 255]))
+    assert read_pgm(b"P5 2 2 10 " + bytes([0, 5, 10, 3])).pixels.max() == 10
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.builds(
+            lambda head, body: head + body,
+            st.sampled_from([b"P5 2 2 10 ", b"P5\n3 1\n255\n", b"P5 1 1 0 ", b"P5 -1 2 9 "]),
+            st.binary(max_size=8),
+        ),
+    )
+)
+def test_read_pgm_parses_or_raises_pgm_error(data):
+    try:
+        img = read_pgm(data)
+    except PgmError:
+        return
+    assert isinstance(img, GrayImage) and img.domain == U8
+    assert img.pixels.shape == (img.height, img.width)
 
 
 def test_gradient_values():

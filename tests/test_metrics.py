@@ -9,6 +9,8 @@ from copsem.image_io import GrayImage, synth_noise
 from copsem.metrics import (
     LN2,
     SQRT_LN2,
+    SSIM_C1,
+    SSIM_C2,
     IncomparableFamiliesError,
     d_pc,
     format_float,
@@ -219,6 +221,42 @@ def test_ssim_bounded(rng):
     v = ssim(a, b)
     assert -1.0 <= v <= 1.0
     assert ssim(a, b) == ssim(b, a)
+
+
+def _ssim_window_loop(a: GrayImage, b: GrayImage) -> float:
+    """Reference: one 8x8 window at a time, the whole image when it is smaller."""
+    x = a.pixels.astype(np.float64)
+    y = b.pixels.astype(np.float64)
+    h, w = x.shape
+    if h < 8 or w < 8:
+        wins_x, wins_y = [x], [y]
+    else:
+        bh, bw = h // 8, w // 8
+        wins_x = x[: bh * 8, : bw * 8].reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+        wins_y = y[: bh * 8, : bw * 8].reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+    vals = []
+    for wx, wy in zip(wins_x, wins_y):
+        mx, my = wx.mean(), wy.mean()
+        vx, vy = wx.var(), wy.var()
+        cov = ((wx - mx) * (wy - my)).mean()
+        num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
+        den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
+        vals.append(num / den)
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 9), (7, 7), (3, 1001), (1200, 5), (8, 8), (13, 21), (64, 64), (97, 130)]
+)
+def test_ssim_matches_window_loop(rng, shape):
+    h, w = shape
+    a = GrayImage(w, h, rng.integers(0, 256, shape))
+    near = GrayImage(w, h, np.clip(a.pixels + rng.integers(-20, 21, shape), 0, 255))
+    far = GrayImage(w, h, rng.integers(0, 256, shape))
+    flat = GrayImage(w, h, np.full(shape, 77))
+    for b in (near, far, flat):
+        assert ssim(a, b) == _ssim_window_loop(a, b), shape
+    assert ssim(flat, flat) == _ssim_window_loop(flat, flat) == 1.0
 
 
 def test_format_float():

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import rankdata
 
 from copsem.image_io import REAL, GrayImage, synth_gradient, synth_noise
 from copsem.rank_copula import (
@@ -44,6 +45,48 @@ def test_rank_open_interval(rng):
     assert np.all(field.u > 0.0) and np.all(field.u < 1.0)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 48), (200, 3)])
+def test_rank_matches_scipy_average_ranks(rng, shape):
+    heavy_ties = rng.integers(100, 104, shape)  # four codes, so nearly every pixel is tied
+    full_range = rng.integers(0, 256, shape)
+    real = np.round(rng.normal(0.0, 1.0, shape), 1)  # REAL domain with ties
+    for img in (
+        as_image(heavy_ties),
+        as_image(full_range),
+        GrayImage(shape[1], shape[0], real, domain=REAL),
+        GrayImage(shape[1], shape[0], rng.normal(0.0, 1.0, shape), domain=REAL),
+    ):
+        want = rankdata(img.pixels.ravel(), method="average") / (img.pixels.size + 1)
+        got = rank_transform(img).u
+        assert np.array_equal(got, want.reshape(shape)), img.domain
+
+
+def _gather_counts(u, delta, bins, stride):
+    """Reference estimate: np.ix_ gathers of the stride lattice of anchors."""
+    h, w = u.shape
+    ys, xs = (
+        np.array([p for p in range(0, n, stride) if 0 <= p + d < n])
+        for n, d in ((h, delta.dy), (w, delta.dx))
+    )
+    a = u[np.ix_(ys, xs)].ravel()
+    b = u[np.ix_(ys + delta.dy, xs + delta.dx)].ravel()
+    i = np.minimum((a * bins).astype(np.int64), bins - 1)
+    j = np.minimum((b * bins).astype(np.int64), bins - 1)
+    return np.bincount(i * bins + j, minlength=bins * bins).reshape(bins, bins), a.size
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("bins", [2, 5, 8])
+def test_copula_matches_gather_reference(stride, bins):
+    field = rank_transform(synth_noise(23, 17, 11))
+    for delta in (RIGHT, DOWN, (1, 1), (1, -1), (-2, 3), (0, -4), (5, -1)):
+        delta = Displacement(*delta)
+        counts, n_pairs = _gather_counts(field.u, delta, bins, stride)
+        cop = extract_copula(field, delta, bins, stride)
+        assert cop.n_pairs == n_pairs, delta
+        assert np.array_equal(cop.cells, counts / n_pairs), delta
+
+
 def test_copula_two_by_two():
     fam = extract_family(as_image([[1, 2], [3, 4]]), deltas=(RIGHT,), bins=2)
     assert fam.cells[0].tolist() == [[0.5, 0.0], [0.0, 0.5]]
@@ -52,8 +95,9 @@ def test_copula_two_by_two():
 
 def test_copula_empty_sample():
     field = rank_transform(as_image([[1], [2], [3]]))
-    with pytest.raises(EmptySampleError):
-        extract_copula(field, RIGHT, bins=2)
+    for delta, stride in ((RIGHT, 1), ((0, 5), 1), ((0, -5), 1), ((0, -1), 5)):
+        with pytest.raises(EmptySampleError):
+            extract_copula(field, delta, bins=2, stride=stride)
 
 
 def test_copula_iid_uniform_cells():
