@@ -52,15 +52,16 @@ def main():
     print()
 
     res = run_channel_sweep(cfg)
+    fit = res.values
     print(f"{'r':>8} {'mean d_pc':>10} {'std':>8} {'L*r*alpha':>10}")
-    for row in res.rows:
+    for row in res.tables[0].rows:
         print(f"{float(row[0]):8.0e} {float(row[4]):10.5f} "
               f"{float(row[5]):8.5f} {float(row[6]):10.2e}")
     print()
-    print(f"through-origin fit: mean = {res.k_lin:.2f} * r, "
-          f"uncentered R^2 = {res.r_squared:.4f}")
-    print(f"doubling r from 1e-3 to 2e-3 scales the mean by {res.doubling_ratio:.2f}")
-    print(f"constant pinned at the top of the sweep: k_fit = {res.k_fit:.2f} "
+    print(f"through-origin fit: mean = {fit['k_lin']:.2f} * r, "
+          f"uncentered R^2 = {fit['r_squared']:.4f}")
+    print(f"doubling r from 1e-3 to 2e-3 scales the mean by {fit['doubling_ratio']:.2f}")
+    print(f"constant pinned at the top of the sweep: k_fit = {fit['k_fit']:.2f} "
           f"(per unit of the shape factor L*r*alpha, not per unit r)")
     print(f"all gates held: {res.ok}")
 

@@ -1,5 +1,6 @@
 """Command line front end. Exit code 0: every asserted inequality held;
-1: a check failed; 2: bad input or usage, with one `copsem: ...` stderr line."""
+1: a check failed, with one `check failed: ...` line per failed check;
+2: bad input or usage, with one `copsem: ...` stderr line."""
 
 from __future__ import annotations
 
@@ -8,11 +9,13 @@ import csv
 import io
 import os
 import sys
+from dataclasses import replace
 
 from . import bounds as bounds_mod
 from .bounds import ConcentrationParams, DecoderModel, EncoderModel
 from .harness import (
     ExperimentConfig,
+    ExperimentResult,
     run_axiom_table,
     run_channel_sweep,
     run_concentration,
@@ -51,33 +54,21 @@ def _common_flags(p: argparse.ArgumentParser):
 
 
 def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    updates = {}
-    if args.bins is not None:
-        updates["bins"] = args.bins
-    if args.delta:
-        updates["deltas"] = tuple(args.delta)
-    if args.stride is not None:
-        updates["stride"] = args.stride
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.corpus is not None:
-        updates["corpus"] = tuple(args.corpus)
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if getattr(args, "ber", None):
-        updates["bers"] = tuple(args.ber)
-    if getattr(args, "alphas", None):
-        updates["alphas"] = tuple(args.alphas)
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg
+    """The --config file (or the defaults), overridden by each flag given."""
+    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    flags = {
+        "bins": args.bins,
+        "deltas": args.delta,
+        "stride": args.stride,
+        "seed": args.seed,
+        "out_dir": args.out,
+        "corpus": args.corpus,
+        "trials": args.trials,
+        "bers": getattr(args, "ber", None),
+        "alphas": getattr(args, "alphas", None) or None,  # a bare --alphas keeps the config's
+    }
+    updates = {k: tuple(v) if isinstance(v, list) else v for k, v in flags.items() if v is not None}
+    return replace(cfg, **updates)
 
 
 def _load_family(path: str, cfg: ExperimentConfig):
@@ -121,10 +112,27 @@ def _cmd_dpc(args) -> int:
     return 0
 
 
-def _finish(name: str, result) -> int:
-    print(f"{name}: ok={str(result.ok).lower()} rows={len(result.rows)} csv={result.csv_path}")
-    for w in getattr(result, "warnings", ()):  # noqa: B007
+def _format_value(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, tuple):
+        return "[" + ", ".join(map(_format_value, v)) + "]"
+    return str(v) if isinstance(v, int) else format_float(v)
+
+
+def _finish(name: str, result: ExperimentResult) -> int:
+    """Print the values line, the summary, the warnings and one line per
+    failed check; exit 1 when any check failed."""
+    if result.values:
+        print(" ".join(f"{k}={_format_value(v)}" for k, v in result.values.items()))
+    table = result.tables[0]
+    print(f"{name}: ok={str(result.ok).lower()} rows={len(table.rows)} csv={table.path}")
+    for w in result.warnings:
         print(f"warning: {w}")
+    for c in result.checks:
+        if not c.passed:
+            observed, limit = _format_value(c.observed), _format_value(c.limit)
+            print(f"check failed: {c.name} observed={observed} limit={limit}")
     return 0 if result.ok else 1
 
 
@@ -149,13 +157,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_channel(args) -> int:
     cfg = _build_config(args)
-    result = run_channel_sweep(cfg, alpha=args.alpha, out_dir=cfg.out_dir)
-    print(
-        f"k_fit={format_float(result.k_fit)} k_lin={format_float(result.k_lin)} "
-        f"r_squared={format_float(result.r_squared)} "
-        f"doubling_ratio={format_float(result.doubling_ratio)}"
-    )
-    return _finish("channel", result)
+    return _finish("channel", run_channel_sweep(cfg, alpha=args.alpha, out_dir=cfg.out_dir))
 
 
 def _cmd_sla_pipeline(args) -> int:
@@ -174,11 +176,6 @@ def _cmd_sla_surface(args) -> int:
         enc = EncoderModel(args.c2, args.d)
     result = run_sla_surface(
         cfg, eps=args.eps, eps_est=args.eps_est, dec=dec, enc=enc, out_dir=cfg.out_dir
-    )
-    print(
-        f"enc_c2={format_float(result.enc.c2)} enc_d={result.enc.d} "
-        f"max_roundtrip_err={format_float(result.max_roundtrip_err)} "
-        f"operating_r_min={'' if result.operating_r_min is None else format_float(result.operating_r_min)}"
     )
     return _finish("sla-surface", result)
 

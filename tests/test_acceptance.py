@@ -105,10 +105,15 @@ def test_requantized_monotone_below_every_degradation(corpus):
     """Requantized monotone maps stay under 0.02 and every structural
     degradation scores strictly higher on the same image."""
     result = run_axiom_table(CFG)
+    assert {c.name: c.passed for c in result.checks} == {
+        "monotone_d_pc": True,
+        "severity_order": True,
+    }
     assert result.ok
+    (table,) = result.tables
     per_image: dict[str, dict[bool, list[float]]] = {}
-    for row in result.rows:
-        rec = dict(zip(result.header, row))
+    for row in table.rows:
+        rec = dict(zip(table.header, row))
         per_image.setdefault(rec["image"], {True: [], False: []})[
             rec["monotone"] == "true"
         ].append(float(rec["d_pc"]))
@@ -250,9 +255,14 @@ def test_sample_size_formula_controls_failures():
     start = time.perf_counter()
     result = run_concentration(CFG, params, trials=500, control_n=10)
     elapsed = time.perf_counter() - start
+    assert {c.name: c.passed for c in result.checks} == {
+        "nominal_failure_fraction": True,
+        "control_failure_fraction": True,
+    }
     assert result.ok
-    nominal = dict(zip(result.header, result.rows[0]))
-    control = dict(zip(result.header, result.rows[1]))
+    (table,) = result.tables
+    nominal = dict(zip(table.header, table.rows[0]))
+    control = dict(zip(table.header, table.rows[1]))
     assert nominal["arm"] == "nominal"
     assert float(nominal["failure_fraction"]) <= params.eta
     assert float(control["failure_fraction"]) > params.eta
@@ -270,14 +280,21 @@ def test_channel_distortion_linear_in_flip_rate():
     by [1.6, 2.4]. At least 200 trials per sweep point."""
     assert CFG.trials >= 200
     result = run_channel_sweep(CFG)
+    assert {c.name: c.passed for c in result.checks} == {
+        "means_non_decreasing": True,
+        "r_squared": True,
+        "doubling_ratio": True,
+    }
     assert result.ok
-    assert result.r_squared >= 0.95
-    assert 1.6 <= result.doubling_ratio <= 2.4
-    means = result.means
+    r2, doubling = result.values["r_squared"], result.values["doubling_ratio"]
+    assert r2 >= 0.95
+    assert 1.6 <= doubling <= 2.4
+    (table,) = result.tables
+    means = [float(row[table.header.index("mean_d_pc_ch")]) for row in table.rows]
     assert all(means[i] <= means[i + 1] + 1e-12 for i in range(len(means) - 1))
     print(
-        f"PASS channel-linearity: R^2={result.r_squared:.4f}, "
-        f"doubling ratio={result.doubling_ratio:.3f}, "
+        f"PASS channel-linearity: R^2={r2:.4f}, "
+        f"doubling ratio={doubling:.3f}, "
         f"{len(means)} sweep points"
     )
 
@@ -286,11 +303,16 @@ def test_pipeline_stage_distortions_compose():
     """Measured end-to-end distortion never exceeds the sum of the three
     measured stage distortions, on every pipeline run."""
     result = run_sla_pipeline(CFG)
+    assert {c.name: c.passed for c in result.checks} == {
+        "composition": True,
+        "decode_non_increasing": True,
+    }
     assert result.ok
-    holds_col = result.header.index("holds")
-    assert all(row[holds_col] == "true" for row in result.rows)
-    assert len(result.rows) == len(synthetic_corpus(seed=CFG.seed)) * 5
-    print(f"PASS composition: {len(result.rows)}/{len(result.rows)} runs hold")
+    (table,) = result.tables
+    holds_col = table.header.index("holds")
+    assert all(row[holds_col] == "true" for row in table.rows)
+    assert len(table.rows) == len(synthetic_corpus(seed=CFG.seed)) * 5
+    print(f"PASS composition: {len(table.rows)}/{len(table.rows)} runs hold")
 
 
 def test_budget_inversions_roundtrip_on_grid():
@@ -301,15 +323,23 @@ def test_budget_inversions_roundtrip_on_grid():
     r_grid = tuple(float(v) for v in np.linspace(0.0, 1500.0, 20))
     t_grid = tuple(float(v) for v in np.linspace(0.0, 40.0, 20))
     result = run_sla_surface(CFG, enc=enc, r_grid=r_grid, t_grid=t_grid)
+    assert {c.name: c.passed for c in result.checks} == {
+        "max_roundtrip_err": True,
+        "decreasing_in_R": True,
+        "decreasing_in_T": True,
+        "operating_point_feasible": True,
+    }
     assert result.ok
-    assert result.max_roundtrip_err <= 1e-6
-    assert len(result.rows) == 400
-    eps = np.array([float(row[2]) for row in result.rows]).reshape(20, 20)
+    max_err = result.values["max_roundtrip_err"]
+    assert max_err <= 1e-6
+    (table,) = result.tables
+    assert len(table.rows) == 400
+    eps = np.array([float(row[2]) for row in table.rows]).reshape(20, 20)
     assert np.all(np.diff(eps, axis=0) < 0.0)
     assert np.all(np.diff(eps, axis=1) < 0.0)
     print(
         f"PASS inversion: 20x20 grid, max roundtrip error="
-        f"{result.max_roundtrip_err:.2e}"
+        f"{max_err:.2e}"
     )
 
 
@@ -335,12 +365,13 @@ def test_fixture_rate_sweep_feeds_design_surface():
     assert enc.d == len(CFG.deltas) * (CFG.bins**2 - 1)
     surface = run_sla_surface(CFG, enc=enc)
     assert surface.ok
-    assert surface.operating_r_min is not None
+    operating_r_min = surface.values["operating_r_min"]
+    assert operating_r_min is not None
     floor = r_min(20.0, 0.05, 0.01, DecoderModel(0.9, 0.1), EncoderModel(0.20814, 252))
     assert floor == pytest.approx(731.354943593927, abs=1e-9)
     print(
         f"PASS rate-decay: fit R^2={r2:.4f}, fitted c2={enc.c2:.4f} "
-        f"feasible at operating point (R_min={surface.operating_r_min:.1f} "
+        f"feasible at operating point (R_min={operating_r_min:.1f} "
         f"bits), reference floor={floor:.6f} bits"
     )
 

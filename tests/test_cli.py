@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from copsem.cli import main
-from copsem.harness import synthetic_corpus
+from copsem.harness import ExperimentConfig, run_channel_sweep, synthetic_corpus
 from copsem.image_io import synth_gradient, synth_noise, write_pgm
 from copsem.rank_copula import CopulaFamily
 
@@ -66,7 +66,24 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
     no_cells.write_text(fam_json.replace('"cells"', '"cellz"'))
     paths = _write_corpus(tmp_path, count=1)
     missing = str(tmp_path / "missing.json")
+    bad_configs = []
+    for i, doc in enumerate(
+        (
+            '{"deltas": 5}',  # each of these three used to end in a TypeError traceback
+            '{"bers": 5}',
+            '{"bins": null}',
+            '{"bin": 4}',  # a typo, used to be ignored
+            '{"trials": 1.7}',  # used to become 1 trial
+            '{"deltas": [[1.5, 0]]}',
+            '{"corpus": [1]}',
+            '{"out_dir": 5}',
+        )
+    ):
+        cfg_path = tmp_path / f"bad_cfg{i}.json"
+        cfg_path.write_text(doc)
+        bad_configs.append(["channel", "--config", str(cfg_path)])
     for argv in (
+        *bad_configs,
         ["extract", "--out", str(tmp_path / "out"), str(tiny)],
         ["dpc", missing, str(fam)],
         ["dpc", "--config", str(tmp_path / "nope.json"), str(fam), str(fam)],
@@ -175,7 +192,29 @@ def test_axioms_exit_one_when_ordering_fails(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["axioms", "--out", str(out), "--corpus", *paths])
     assert rc == 1
-    assert capsys.readouterr().out.startswith("axioms: ok=false rows=20 ")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("axioms: ok=false rows=20 ")
+    severity = [line for line in lines if line.startswith("check failed: severity_order ")]
+    assert len(severity) == 1
+    assert " observed=0." in severity[0] and severity[0].endswith(" limit=0.0")
+
+
+def test_channel_r_squared_miss_names_the_check(tmp_path, capsys):
+    # a statistical miss of the fixed R^2 >= 0.95 gate at this config seed
+    # (see README, Testing); the other two channel checks hold
+    seed = 1553713848
+    result = run_channel_sweep(ExperimentConfig(seed=seed))
+    assert {c.name: c.passed for c in result.checks} == {
+        "means_non_decreasing": True,
+        "r_squared": False,
+        "doubling_ratio": True,
+    }
+    rc = main(["channel", "--out", str(tmp_path / "out"), "--seed", str(seed)])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("channel: ok=false rows=5 ")
+    failed = [line for line in lines if line.startswith("check failed: ")]
+    assert failed == ["check failed: r_squared observed=0.9485707716684292 limit=0.95"]
 
 
 def test_rd_subcommand_exits_zero(tmp_path, capsys):

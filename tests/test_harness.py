@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from copsem.bounds import ConcentrationParams, DecoderModel, EncoderModel
 from copsem.harness import (
@@ -61,6 +62,66 @@ def test_config_bad_line(tmp_path):
         ExperimentConfig.from_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"bin": 4},
+        {"bins": None},
+        {"bins": 1.7},
+        {"bins": True},
+        {"bins": [4]},
+        {"deltas": 5},
+        {"deltas": [5]},
+        {"deltas": [[1, 0, 2]]},
+        {"deltas": "1,0;0"},
+        {"bers": 5},
+        {"alphas": [None]},
+        {"corpus": {"a": 1}},
+        {"out_dir": None},
+    ],
+)
+def test_config_rejects_bad_values(doc):
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_accepts_integral_floats_and_lists():
+    cfg = ExperimentConfig.from_dict(
+        {"bins": 4.0, "deltas": [[1, 0], [0, 1]], "bers": [0.001, "0.01"], "corpus": "a.pgm,b.pgm"}
+    )
+    assert cfg.bins == 4 and isinstance(cfg.bins, int)
+    assert [tuple(d) for d in cfg.deltas] == [(1, 0), (0, 1)]
+    assert cfg.bers == (0.001, 0.01)
+    assert cfg.corpus == ("a.pgm", "b.pgm")
+
+
+CONFIG_KEYS = st.sampled_from(
+    ["corpus", "deltas", "bins", "stride", "alphas", "bers", "trials", "seed", "out_dir", "bin"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=6,
+)
+
+
+@given(
+    st.text(alphabet=st.characters(codec="utf-8"))
+    | st.lists(st.tuples(CONFIG_KEYS, st.text(max_size=12))).map(
+        lambda kv: "\n".join(f"{k}={v}" for k, v in kv)
+    )
+    | st.dictionaries(CONFIG_KEYS, JSON_VALUES).map(json.dumps)
+)
+def test_config_from_file_parses_or_raises_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        cfg = ExperimentConfig.from_file(str(path))
+    except ValueError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
 def test_synthetic_corpus_properties():
     images = synthetic_corpus()
     assert len(images) == 20
@@ -97,12 +158,22 @@ def test_fixture_image_stable():
     assert img != fixture_image(ExperimentConfig(seed=1))
 
 
+def check_names(result):
+    """The runner's check names, asserting that every check passed."""
+    failed = [c for c in result.checks if not c.passed]
+    assert not failed, failed
+    assert result.ok
+    return {c.name for c in result.checks}
+
+
 def test_axiom_table(tmp_path):
     cfg = ExperimentConfig()
     result = run_axiom_table(cfg, out_dir=str(tmp_path))
-    assert result.ok
-    assert len(result.rows) == 200
-    lines = read_lines(result.csv_path)
+    assert check_names(result) == {"monotone_d_pc", "severity_order"}
+    (table,) = result.tables
+    assert table.schema == "copsem.axiom_table.v1"
+    assert len(table.rows) == 200
+    lines = read_lines(table.path)
     assert lines[0] == b"#schema=copsem.axiom_table.v1"
     header = lines[1].decode().split(",")
     assert header == [
@@ -110,31 +181,32 @@ def test_axiom_table(tmp_path):
     ]
     # real-domain monotone rows are exactly zero; pixel metrics do not
     # apply across domains, so those columns stay empty
-    real_rows = [r for r in result.rows if r[2] == "real" and r[3] == "true"]
+    real_rows = [r for r in table.rows if r[2] == "real" and r[3] == "true"]
     assert len(real_rows) == 20 * 4
     assert all(r[4] == "0.0" for r in real_rows)
     assert all(r[5] == "" and r[6] == "" for r in real_rows)
-    assert all(r[7] == "pass" for r in result.rows)
+    assert all(r[7] == "pass" for r in table.rows)
 
 
 def test_rd_curve_warns_but_holds(tmp_path):
     cfg = ExperimentConfig()
     result = run_rd_curve(cfg, out_dir=str(tmp_path))
-    assert result.ok
-    assert len(result.rows) == 20 * len(DEFAULT_ALPHAS)
+    assert check_names(result) == {"distortion_over_bound", "rate_excess_bits"}
+    curve, fit = result.tables
+    assert len(curve.rows) == 20 * len(DEFAULT_ALPHAS)
     # the corpus textures are close to rank-uniform, so the half-lattice
     # steps produce documented upticks: reported, never fatal
     assert any("rose" in w for w in result.warnings)
-    lines = read_lines(result.csv_path)
+    lines = read_lines(curve.path)
     assert lines[0] == b"#schema=copsem.rd_curve.v1"
-    assert read_lines(result.fit_csv_path)[0] == b"#schema=copsem.rd_fit.v1"
+    assert read_lines(fit.path)[0] == b"#schema=copsem.rd_fit.v1"
     # per-image fits are diagnostics, not gates: the corpus is half
     # smoothed textures (fit R^2 0.78-0.997) and half fine noise, whose
     # near-uniform copulas take a mid-sweep rounding bump that collapses
     # the log-linear fit to R^2 ~ 0.14-0.24. The R^2 >= 0.9 gate applies
     # to the smoothed fixture only (see test_acceptance). A free affine
     # fit in log space keeps R^2 within [0, 1] by construction.
-    for row in result.fit_rows:
+    for row in fit.rows:
         assert float(row[1]) > 0.0
         assert 0.0 <= float(row[3]) <= 1.0 + 1e-12
 
@@ -148,24 +220,25 @@ def test_concentration_nominal_vs_control(tmp_path):
         control_n=10,
         out_dir=str(tmp_path),
     )
-    assert result.ok
-    nominal, control = result.rows
+    assert check_names(result) == {"nominal_failure_fraction", "control_failure_fraction"}
+    (table,) = result.tables
+    nominal, control = table.rows
     assert nominal[0] == "nominal" and control[0] == "control"
     assert float(nominal[8]) <= 0.05
     assert float(control[8]) > 0.05
-    assert read_lines(result.csv_path)[0] == b"#schema=copsem.concentration.v1"
+    assert read_lines(table.path)[0] == b"#schema=copsem.concentration.v1"
 
 
 def test_channel_sweep_gates(tmp_path):
     cfg = ExperimentConfig()
     result = run_channel_sweep(cfg, out_dir=str(tmp_path))
-    assert result.ok
-    assert result.r_squared >= 0.95
-    assert 1.6 <= result.doubling_ratio <= 2.4
-    assert all(
-        result.means[i] <= result.means[i + 1] for i in range(len(result.means) - 1)
-    )
-    assert read_lines(result.csv_path)[0] == b"#schema=copsem.channel_sweep.v1"
+    assert check_names(result) == {"means_non_decreasing", "r_squared", "doubling_ratio"}
+    assert result.values["r_squared"] >= 0.95
+    assert 1.6 <= result.values["doubling_ratio"] <= 2.4
+    (table,) = result.tables
+    means = [float(row[table.header.index("mean_d_pc_ch")]) for row in table.rows]
+    assert all(means[i] <= means[i + 1] for i in range(len(means) - 1))
+    assert read_lines(table.path)[0] == b"#schema=copsem.channel_sweep.v1"
 
 
 def test_channel_top_pinned_constant_underestimates_small_r():
@@ -178,33 +251,41 @@ def test_channel_top_pinned_constant_underestimates_small_r():
     through-origin fit."""
     cfg = ExperimentConfig()
     result = run_channel_sweep(cfg)
-    bottom = dict(zip(result.header, result.rows[0]))
+    (table,) = result.tables
+    assert table.path is None  # no out_dir, no CSV
+    k_fit = result.values["k_fit"]
+    bottom = dict(zip(table.header, table.rows[0]))
     assert float(bottom["r"]) == 1e-4
-    ratio = float(bottom["mean_d_pc_ch"]) / (
-        result.k_fit * float(bottom["shape_Lra"])
-    )
+    ratio = float(bottom["mean_d_pc_ch"]) / (k_fit * float(bottom["shape_Lra"]))
     assert 1.3 < ratio < 4.0
     # and at the pinning point the ratio is exactly 1 by construction
-    top = dict(zip(result.header, result.rows[-1]))
-    top_ratio = float(top["mean_d_pc_ch"]) / (result.k_fit * float(top["shape_Lra"]))
+    top = dict(zip(table.header, table.rows[-1]))
+    top_ratio = float(top["mean_d_pc_ch"]) / (k_fit * float(top["shape_Lra"]))
     assert abs(top_ratio - 1.0) < 1e-9
 
 
 def test_sla_pipeline_composition(tmp_path):
     cfg = ExperimentConfig()
     result = run_sla_pipeline(cfg, out_dir=str(tmp_path))
-    assert result.ok
-    assert all(row[-1] == "true" for row in result.rows)
-    assert read_lines(result.csv_path)[0] == b"#schema=copsem.sla_pipeline.v1"
+    assert check_names(result) == {"composition", "decode_non_increasing"}
+    (table,) = result.tables
+    assert all(row[-1] == "true" for row in table.rows)
+    assert read_lines(table.path)[0] == b"#schema=copsem.sla_pipeline.v1"
 
 
 def test_sla_surface_roundtrip(tmp_path):
     cfg = ExperimentConfig()
     result = run_sla_surface(cfg, out_dir=str(tmp_path))
-    assert result.ok
-    assert result.max_roundtrip_err <= 1e-6
-    assert result.operating_r_min is not None
-    assert read_lines(result.csv_path)[0] == b"#schema=copsem.sla_surface.v1"
+    assert check_names(result) == {
+        "max_roundtrip_err",
+        "decreasing_in_R",
+        "decreasing_in_T",
+        "operating_point_feasible",
+    }
+    assert result.values["max_roundtrip_err"] <= 1e-6
+    assert result.values["operating_r_min"] is not None
+    (table,) = result.tables
+    assert read_lines(table.path)[0] == b"#schema=copsem.sla_surface.v1"
 
 
 def test_mix_with_uniform_hits_target():
@@ -221,8 +302,8 @@ def test_csv_determinism(tmp_path):
     cfg = ExperimentConfig()
     a = run_channel_sweep(cfg, out_dir=str(tmp_path / "a"))
     b = run_channel_sweep(cfg, out_dir=str(tmp_path / "b"))
-    with open(a.csv_path, "rb") as fh:
+    with open(a.tables[0].path, "rb") as fh:
         blob_a = fh.read()
-    with open(b.csv_path, "rb") as fh:
+    with open(b.tables[0].path, "rb") as fh:
         blob_b = fh.read()
     assert blob_a == blob_b
