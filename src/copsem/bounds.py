@@ -38,8 +38,8 @@ class ConcentrationParams:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
         if self.n_deltas < 1:
             raise ValueError(f"n_deltas must be >= 1, got {self.n_deltas}")
-        if self.t <= 0.0:
-            raise ValueError(f"t must be > 0, got {self.t!r}")
+        if not 0.0 < self.t < math.inf:  # t = inf prescribes n_eff = 0 pairs
+            raise ValueError(f"t must be finite and > 0, got {self.t!r}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must be in (0, 1), got {self.eta!r}")
 

@@ -5,8 +5,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from dataclasses import replace
@@ -16,6 +14,9 @@ from .bounds import ConcentrationParams, DecoderModel, EncoderModel
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
+    Table,
+    _cell,
+    _write_table,
     run_axiom_table,
     run_channel_sweep,
     run_concentration,
@@ -24,7 +25,7 @@ from .harness import (
     run_sla_surface,
 )
 from .image_io import read_pgm
-from .metrics import d_pc, format_float, psnr, report_csv_header, report_csv_row, ssim
+from .metrics import d_pc, psnr, ssim
 from .rank_copula import CopulaFamily, Displacement, extract_family
 
 
@@ -103,36 +104,25 @@ def _cmd_dpc(args) -> int:
     p = s = None
     if img_a is not None and img_b is not None:
         p, s = psnr(img_a, img_b), ssim(img_a, img_b)
-    buf = io.StringIO()
-    buf.write("#schema=copsem.distortion_report.v1\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report_csv_header(fam_a.deltas))
-    writer.writerow(report_csv_row(args.a, args.b, report, p, s))
-    sys.stdout.write(buf.getvalue())
+    header = ["image_a", "image_b", *(f"sqrt_js_{d.dx}_{d.dy}" for d in fam_a.deltas)]
+    row = [args.a, args.b, *(r[2] for r in report.per_delta), report.d_pc, p, s]
+    table = Table("copsem.distortion_report.v1", header + ["d_pc", "psnr", "ssim"], [row], None)
+    _write_table(sys.stdout, table)
     return 0
-
-
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, tuple):
-        return "[" + ", ".join(map(_format_value, v)) + "]"
-    return str(v) if isinstance(v, int) else format_float(v)
 
 
 def _finish(name: str, result: ExperimentResult) -> int:
     """Print the values line, the summary, the warnings and one line per
     failed check; exit 1 when any check failed."""
     if result.values:
-        print(" ".join(f"{k}={_format_value(v)}" for k, v in result.values.items()))
+        print(" ".join(f"{k}={_cell(v)}" for k, v in result.values.items()))
     table = result.tables[0]
     print(f"{name}: ok={str(result.ok).lower()} rows={len(table.rows)} csv={table.path}")
     for w in result.warnings:
         print(f"warning: {w}")
     for c in result.checks:
         if not c.passed:
-            observed, limit = _format_value(c.observed), _format_value(c.limit)
-            print(f"check failed: {c.name} observed={observed} limit={limit}")
+            print(f"check failed: {c.name} observed={_cell(c.observed)} limit={_cell(c.limit)}")
     return 0 if result.ok else 1
 
 
@@ -187,25 +177,17 @@ def _cmd_bounds(args) -> int:
     dec = DecoderModel(args.rho, args.delta0)
     enc = EncoderModel(args.c2, args.d if args.d is not None else n_deltas * (cfg.bins**2 - 1))
     n_eff = bounds_mod.sample_complexity(params)
-    lines = [
-        ("n_eff", str(n_eff)),
-        ("eps_est_from_n_eff", format_float(bounds_mod.est_distortion_from_samples(n_eff, params))),
-        (
-            "rate_achievable_bits",
-            format_float(bounds_mod.rate_achievability(n_deltas, cfg.bins, args.alpha)),
-        ),
-        ("enc_distortion_bound", format_float(bounds_mod.enc_distortion_bound(cfg.bins, args.alpha))),
-        (
-            "rate_converse_bits",
-            format_float(bounds_mod.rate_converse(n_deltas, cfg.bins, args.eps_enc, args.c)),
-        ),
-    ]
-    r = bounds_mod.r_min(args.T, args.eps, args.eps_est, dec, enc)
-    t = bounds_mod.t_min(args.R, args.eps, args.eps_est, dec, enc)
-    lines.append(("r_min_bits", "infeasible" if r is None else format_float(r)))
-    lines.append(("t_min", "infeasible" if t is None else format_float(t)))
-    for key, val in lines:
-        print(f"{key}={val}")
+    lines = {
+        "n_eff": n_eff,
+        "eps_est_from_n_eff": bounds_mod.est_distortion_from_samples(n_eff, params),
+        "rate_achievable_bits": bounds_mod.rate_achievability(n_deltas, cfg.bins, args.alpha),
+        "enc_distortion_bound": bounds_mod.enc_distortion_bound(cfg.bins, args.alpha),
+        "rate_converse_bits": bounds_mod.rate_converse(n_deltas, cfg.bins, args.eps_enc, args.c),
+        "r_min_bits": bounds_mod.r_min(args.T, args.eps, args.eps_est, dec, enc),
+        "t_min": bounds_mod.t_min(args.R, args.eps, args.eps_est, dec, enc),
+    }
+    for key, val in lines.items():  # only r_min and t_min return None: infeasible
+        print(f"{key}={'infeasible' if val is None else _cell(val)}")
     return 0
 
 

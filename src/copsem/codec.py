@@ -20,8 +20,10 @@ from .rank_copula import CopulaFamily, Displacement
 
 
 def levels_for_alpha(alpha: float) -> int:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    """Below 2**-62 the indices, the level count or the bit shifts of a cell
+    no longer fit int64."""
+    if not 2.0**-62 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [2**-62, 1], got {alpha!r}")
     return int(math.floor(1.0 / alpha)) + 1
 
 

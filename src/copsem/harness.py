@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -176,15 +177,45 @@ def _sub_seed(seed: int, *tags: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _cell(v) -> str:
+    """The one rule for a table cell or a printed value: "" for None,
+    true/false, str for integers, format_float for other reals, str as is,
+    and a tuple as [a, b]. bool is tested first, as it is also an integer."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, numbers.Integral):
+        return str(v)
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return "[" + ", ".join(map(_cell, v)) + "]"
+    return format_float(v)
+
+
 @dataclass(frozen=True)
 class Table:
     """One CSV table: schema copsem.<name>.v1, written as <out_dir>/<name>.csv;
-    path is None when the runner had no out_dir."""
+    path is None when the table was not written to a file. Each row value is
+    stored as its _cell string."""
 
     schema: str
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     path: str | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "header", tuple(self.header))
+        object.__setattr__(self, "rows", tuple(tuple(map(_cell, r)) for r in self.rows))
+
+
+def _write_table(fh, table: Table) -> None:
+    """The #schema= line, then the header and the rows as newline-terminated CSV."""
+    fh.write(f"#schema={table.schema}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(table.rows)
 
 
 @dataclass(frozen=True)
@@ -222,30 +253,24 @@ def _check(name: str, limit: float, instances: list[tuple[float, bool]]) -> Chec
 
 def _result(
     out_dir: str | None,
-    tables: list[tuple[str, list[str], list[list[str]]]],
+    tables: list[tuple[str, list[str], list[list]]],
     checks: list[Check],
     values: dict | None = None,
     warnings: tuple[str, ...] = (),
 ) -> ExperimentResult:
-    """Write each (name, header, rows) table to <out_dir>/<name>.csv, unless
-    out_dir is None, and wrap the run's output in one ExperimentResult."""
+    """Write each (name, header, rows of raw values) table to
+    <out_dir>/<name>.csv, unless out_dir is None, and wrap the run's output
+    in one ExperimentResult."""
     written = []
     for name, header, rows in tables:
         path = None if out_dir is None else os.path.join(out_dir, f"{name}.csv")
-        table = Table(f"copsem.{name}.v1", tuple(header), tuple(tuple(r) for r in rows), path)
+        table = Table(f"copsem.{name}.v1", header, rows, path)
         if path is not None:
             os.makedirs(out_dir or ".", exist_ok=True)
-            with open(table.path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(f"#schema={table.schema}\n")
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(table.header)
-                writer.writerows(table.rows)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                _write_table(fh, table)
         written.append(table)
     return ExperimentResult(tuple(written), tuple(checks), dict(values or {}), tuple(warnings))
-
-
-def _flag(b: bool) -> str:
-    return "true" if b else "false"
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +288,7 @@ def run_axiom_table(cfg: ExperimentConfig, out_dir: str | None = None) -> Experi
     images = load_corpus(cfg)
     bank = default_bank(awgn_seed=cfg.seed + 1)
     header = ["image", "transform", "domain", "monotone", "d_pc", "psnr", "ssim", "verdict"]
-    rows: list[list[str]] = []
+    rows: list[list] = []
     mono_worst, overlaps = [], []
     for name, img in images:
         fam0 = extract_family(img, cfg.deltas, cfg.bins, cfg.stride)
@@ -283,20 +308,9 @@ def run_axiom_table(cfg: ExperimentConfig, out_dir: str | None = None) -> Experi
         mono_ok, order_ok = top_mono <= 0.02, low_dmg > top_mono
         mono_worst.append((top_mono, mono_ok))
         overlaps.append((top_mono - low_dmg, order_ok))
-        verdict = mono_ok and order_ok
+        verdict = "pass" if mono_ok and order_ok else "fail"
         for spec, domain, is_mono, dist, p, s in entries:
-            rows.append(
-                [
-                    name,
-                    spec.canonical(),
-                    domain,
-                    _flag(is_mono),
-                    format_float(dist),
-                    "" if p is None else format_float(p),
-                    "" if s is None else format_float(s),
-                    "pass" if verdict else "fail",
-                ]
-            )
+            rows.append([name, spec.canonical(), domain, is_mono, dist, p, s, verdict])
     checks = [
         _check("monotone_d_pc", 0.02, mono_worst),
         _check("severity_order", 0.0, overlaps),
@@ -320,6 +334,7 @@ def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> Experimen
     worse at that step than at the coarser one (see the fixture_image note).
     """
     images = load_corpus(cfg)
+    alphas = tuple(float(a) for a in cfg.alphas)
     n = len(cfg.deltas)
     b2 = cfg.bins * cfg.bins
     header = ["image", "alpha", "rate_theory_bits", "rate_empirical_bits", "d_pc", "bound"]
@@ -328,18 +343,9 @@ def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> Experimen
     over_bound, rate_excess = [], []
     for name, img in images:
         fam = extract_family(img, cfg.deltas, cfg.bins, cfg.stride)
-        points = rd_sweep(fam, cfg.alphas)
+        points = rd_sweep(fam, alphas)
         for i, pt in enumerate(points):
-            rows.append(
-                [
-                    name,
-                    format_float(pt.alpha),
-                    format_float(pt.rate_theory_bits),
-                    format_float(pt.rate_empirical_bits),
-                    format_float(pt.distortion),
-                    format_float(pt.bound),
-                ]
-            )
+            rows.append([name, *astuple(pt)])  # alpha, rate_theory, rate_empirical, d_pc, bound
             within_2x = pt.distortion <= 2.0 * pt.bound
             over_bound.append((pt.distortion / pt.bound, within_2x))
             if within_2x and pt.distortion > pt.bound:
@@ -361,9 +367,9 @@ def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> Experimen
                 [p.rate_theory_bits for p in interior],
                 [p.distortion for p in interior],
             )
-            fit_rows.append([name, format_float(c2), format_float(d_eff), format_float(r2)])
+            fit_rows.append([name, c2, d_eff, r2])
         except ValueError as exc:
-            fit_rows.append([name, "", "", ""])
+            fit_rows.append([name, None, None, None])
             warnings.append(f"{name}: no rd fit ({exc})")
     checks = [
         _check("distortion_over_bound", 2.0, over_bound),
@@ -411,38 +417,19 @@ def run_concentration(
     """Validate the sample-size formula: at the prescribed n_eff the failure
     fraction stays within eta (check nominal_failure_fraction); at control_n
     it does not (check control_failure_fraction)."""
+    if trials < 1 or control_n < 1:
+        raise ValueError(f"trials and control_n must be >= 1, got {trials} and {control_n}")
     n_eff = sample_complexity(params)
-    header = [
-        "arm",
-        "bins",
-        "n_deltas",
-        "t",
-        "eta",
-        "n_eff",
-        "trials",
-        "failures",
-        "failure_fraction",
-        "mean_l1",
-    ]
+    t, eta = float(params.t), float(params.eta)
+    header = "arm bins n_deltas t eta n_eff trials failures failure_fraction mean_l1".split()
     rows = []
     fractions = []
-    for arm, n in enumerate((n_eff, control_n)):
+    for arm, (label, n) in enumerate((("nominal", n_eff), ("control", control_n))):
         failures, mean_l1 = _concentration_arm(params, n, trials, cfg.seed, arm)
         frac = failures / trials
         fractions.append(frac)
         rows.append(
-            [
-                "nominal" if arm == 0 else "control",
-                str(params.bins),
-                str(params.n_deltas),
-                format_float(params.t),
-                format_float(params.eta),
-                str(n),
-                str(trials),
-                str(failures),
-                format_float(frac),
-                format_float(mean_l1),
-            ]
+            [label, params.bins, params.n_deltas, t, eta, n, trials, failures, frac, mean_l1]
         )
     checks = [
         Check("nominal_failure_fraction", fractions[0], params.eta, fractions[0] <= params.eta),
@@ -496,8 +483,8 @@ def run_channel_sweep(
     """
     if family is None:
         family = fixture_family(cfg)
-    q = quantize(family, alpha)
-    bers = tuple(sorted(cfg.bers))
+    q = quantize(family, float(alpha))
+    bers = tuple(sorted(float(r) for r in cfg.bers))
     if not bers:
         raise ValueError("empty ber sweep")
     exps = [
@@ -523,16 +510,7 @@ def run_channel_sweep(
     ]
     header = ["r", "alpha", "L", "trials", "mean_d_pc_ch", "std", "shape_Lra", "k_fit"]
     rows = [
-        [
-            format_float(e.ber),
-            format_float(e.alpha),
-            str(e.bits_per_cell),
-            str(e.trials),
-            format_float(e.mean_d_pc),
-            format_float(e.std_d_pc),
-            format_float(e.shape_lra),
-            format_float(k_fit),
-        ]
+        [e.ber, e.alpha, e.bits_per_cell, e.trials, e.mean_d_pc, e.std_d_pc, e.shape_lra, k_fit]
         for e in exps
     ]
     values = {"k_fit": k_fit, "k_lin": k_lin, "r_squared": r2, "doubling_ratio": doubling}
@@ -582,20 +560,9 @@ def run_sla_pipeline(
     d_total - bound) and that decode error does not grow with compute
     budget (check decode_non_increasing, observed as the largest rise)."""
     images = load_corpus(cfg)
+    alpha, t_grid = float(alpha), tuple(float(t) for t in t_grid)
     sub = non_overlapping_stride(cfg.deltas)
-    header = [
-        "image",
-        "stride",
-        "alpha",
-        "T",
-        "w",
-        "d_est",
-        "d_enc",
-        "d_dec",
-        "d_total",
-        "bound",
-        "holds",
-    ]
+    header = "image stride alpha T w d_est d_enc d_dec d_total bound holds".split()
     rows = []
     excess, rises = [], []
     for name, img in images:
@@ -618,19 +585,7 @@ def run_sla_pipeline(
                 rises.append((d_dec - prev_dec, d_dec <= prev_dec + 1e-12))
             prev_dec = d_dec
             rows.append(
-                [
-                    name,
-                    str(sub),
-                    format_float(alpha),
-                    format_float(t_budget),
-                    format_float(w),
-                    format_float(d_est),
-                    format_float(d_enc),
-                    format_float(d_dec),
-                    format_float(d_total),
-                    format_float(bound),
-                    _flag(holds),
-                ]
+                [name, sub, alpha, t_budget, w, d_est, d_enc, d_dec, d_total, bound, holds]
             )
     checks = [
         _check("composition", 1e-12, excess),
@@ -681,9 +636,10 @@ def run_sla_surface(
     if enc is None:
         enc = fit_encoder_from_fixture(cfg)
     if r_grid is None:
-        r_grid = tuple(float(v) for v in np.linspace(0.0, 1500.0, 21))
+        r_grid = np.linspace(0.0, 1500.0, 21)
     if t_grid is None:
-        t_grid = tuple(float(v) for v in np.linspace(0.0, 40.0, 21))
+        t_grid = np.linspace(0.0, 40.0, 21)
+    r_grid, t_grid = tuple(float(v) for v in r_grid), tuple(float(v) for v in t_grid)
     grid = sla_surface(r_grid, t_grid, eps_est, dec, enc)
     header = ["R", "T", "eps"]
     rows = []
@@ -691,7 +647,7 @@ def run_sla_surface(
     for i, r in enumerate(r_grid):
         for j, t in enumerate(t_grid):
             e = float(grid[i, j])
-            rows.append([format_float(r), format_float(t), format_float(e)])
+            rows.append([r, t, e])
             r_back = r_min(t, e, eps_est, dec, enc)
             t_back = t_min(r, e, eps_est, dec, enc)
             if r_back is None or t_back is None:

@@ -173,24 +173,3 @@ def format_float(x: float) -> str:
         return "inf"
     return repr(float(x))
 
-
-def report_csv_header(deltas: tuple[Displacement, ...]) -> list[str]:
-    cols = ["image_a", "image_b"]
-    cols += [f"sqrt_js_{d.dx}_{d.dy}" for d in deltas]
-    cols += ["d_pc", "psnr", "ssim"]
-    return cols
-
-
-def report_csv_row(
-    name_a: str,
-    name_b: str,
-    report: DistortionReport,
-    psnr_db: float | None = None,
-    ssim_val: float | None = None,
-) -> list[str]:
-    row = [name_a, name_b]
-    row += [format_float(r[2]) for r in report.per_delta]
-    row.append(format_float(report.d_pc))
-    row.append("" if psnr_db is None else format_float(psnr_db))
-    row.append("" if ssim_val is None else format_float(ssim_val))
-    return row

@@ -178,7 +178,10 @@ class CopulaFamily:
     def from_json(cls, text: str) -> "CopulaFamily":
         """Parse to_json output. Malformed JSON, a missing or mistyped field
         and the NaN and Infinity tokens all raise ValueError."""
-        doc = json.loads(text, parse_constant=_reject_json_constant)
+        try:
+            doc = json.loads(text, parse_constant=_reject_json_constant)
+        except RecursionError:
+            raise ValueError("family JSON is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("family JSON must be an object")
         if doc.get("version") != SERIAL_VERSION:
@@ -188,7 +191,7 @@ class CopulaFamily:
             deltas = tuple(Displacement(int(dx), int(dy)) for dx, dy in doc["deltas"])
             cells = np.asarray(doc["cells"], dtype=np.float64).reshape(-1, bins, bins)
             return cls(deltas, cells, tuple(doc["n_pairs"]), int(doc["stride"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed family JSON: {exc!r}") from None
 
 

@@ -41,8 +41,9 @@ def test_concentration_params_validated():
         ConcentrationParams(1, 2, 0.1, 0.05)
     with pytest.raises(ValueError):
         ConcentrationParams(4, 0, 0.1, 0.05)
-    with pytest.raises(ValueError):
-        ConcentrationParams(4, 2, 0.0, 0.05)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ConcentrationParams(4, 2, t, 0.05)
     with pytest.raises(ValueError):
         ConcentrationParams(4, 2, 0.1, 1.0)
 

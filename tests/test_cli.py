@@ -92,6 +92,14 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
         ["dpc", str(no_cells), str(no_cells)],
         ["dpc", str(not_pgm), paths[0]],
         ["dpc", str(fam), paths[0]],  # bins 2 vs 8: incomparable
+        ["concentration", "--ctrials", "0"],  # used to end in a ZeroDivisionError traceback
+        ["concentration", "--ctrials", "-3"],  # used to report observed=-0.0 and exit 1
+        ["concentration", "--control-n", "0"],  # this and --t inf used to write nan
+        ["concentration", "--t", "inf"],
+        ["rd", "--out", str(tmp_path / "out"), "--alphas", "1e-320"],  # each of these three
+        ["sla-pipeline", "--out", str(tmp_path / "out"), "--alpha", "1e-320"],  # used to end in
+        ["channel", "--out", str(tmp_path / "out"), "--alpha", "1e-300"],  # an OverflowError
+        ["rd", "--out", str(tmp_path / "out"), "--alphas", "1e-300"],  # used to overflow int64
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

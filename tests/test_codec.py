@@ -61,10 +61,17 @@ def test_quantize_alpha_one():
 
 def test_quantize_alpha_range():
     fam = two_cell_family([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        quantize(fam, 0.0)
-    with pytest.raises(ValueError):
-        quantize(fam, 1.5)
+    # below 2**-62 indices or bit shifts overflow int64: 1e-320 and 1e-300
+    # used to end in an OverflowError or in wrapped indices
+    for alpha in (0.0, 1.5, math.nan, 1e-320, 1e-300, 2.0**-63):
+        with pytest.raises(ValueError):
+            quantize(fam, alpha)
+        with pytest.raises(ValueError):
+            unpack(b"\x00", alpha, 1, (RIGHT,))
+    q = quantize(fam, 2.0**-62)
+    assert (q.levels, q.bits) == (2**62 + 1, 63)
+    assert q.indices[0].tolist() == [[2**62, 0], [0, 0]]
+    assert unpack(pack(q), 2.0**-62, 2, (RIGHT,)) == q
 
 
 def test_uniform_fixed_point(rng):
@@ -135,6 +142,23 @@ def test_unpack_truncated():
         unpack(data + b"\x00", 1 / 64, 2, (RIGHT,))
     with pytest.raises(ValueError):
         unpack(b"", 1 / 64, 2, ())
+
+
+@given(st.data())
+def test_unpack_arbitrary_bytes_parses_or_raises_value_error(data):
+    alpha = data.draw(st.sampled_from([1.0, 0.4, 1 / 3, 1 / 64, 2.0**-62]))
+    bins = data.draw(st.integers(1, 4))
+    deltas = (RIGHT, Displacement(0, 1))[: data.draw(st.integers(1, 2))]
+    size = (len(deltas) * bins * bins * bits_per_cell(alpha) + 7) // 8
+    blob = data.draw(st.binary(min_size=size, max_size=size))
+    try:
+        q = unpack(blob, alpha, bins, deltas)
+    except ValueError:
+        return
+    assert isinstance(q, QuantizedFamily)
+    assert q.indices.shape == (len(deltas), bins, bins)
+    assert 0 <= q.indices.min() and q.indices.max() < q.levels
+    assert unpack(pack(q), alpha, bins, deltas) == q
 
 
 def test_unpack_clamps_corrupt_indices():

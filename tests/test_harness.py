@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ from copsem.bounds import ConcentrationParams, DecoderModel, EncoderModel
 from copsem.harness import (
     DEFAULT_ALPHAS,
     ExperimentConfig,
+    _cell,
     fixture_family,
     fixture_image,
     load_corpus,
@@ -307,3 +309,30 @@ def test_csv_determinism(tmp_path):
     with open(b.tables[0].path, "rb") as fh:
         blob_b = fh.read()
     assert blob_a == blob_b
+
+
+def test_cell_rule():
+    assert _cell(None) == ""
+    assert (_cell(True), _cell(False), _cell(np.bool_(True))) == ("true", "false", "true")
+    assert (_cell(0), _cell(-3), _cell(np.int64(7))) == ("0", "-3", "7")
+    assert (_cell(0.0), _cell(np.float64(1 / 3)), _cell(math.inf)) == ("0.0", repr(1 / 3), "inf")
+    assert _cell("pass") == "pass"
+    assert _cell((1.6, 2)) == "[1.6, 2]"
+
+
+def test_integer_grids_write_the_float_rows(tmp_path):
+    """Real-valued runner inputs are floats from where they enter, so an int
+    in a real column is still written as 0.0, as a float input is."""
+    enc = EncoderModel(0.2, 252)
+    ints = run_sla_surface(ExperimentConfig(), enc=enc, r_grid=(0, 100), t_grid=(0, 10))
+    floats = run_sla_surface(ExperimentConfig(), enc=enc, r_grid=(0.0, 100.0), t_grid=(0.0, 10.0))
+    assert ints.tables[0].rows == floats.tables[0].rows
+    assert ints.tables[0].rows[0][:2] == ("0.0", "0.0")
+    img = tmp_path / "img.pgm"
+    img.write_bytes(write_pgm(synthetic_corpus(count=1, size=48)[0][1]))
+    cfg = ExperimentConfig(corpus=(str(img),))
+    ints = run_sla_pipeline(cfg, t_grid=(0, 5), out_dir=str(tmp_path / "ints"))
+    floats = run_sla_pipeline(cfg, t_grid=(0.0, 5.0), out_dir=str(tmp_path / "floats"))
+    assert ints.tables[0].rows == floats.tables[0].rows
+    assert [row[3] for row in ints.tables[0].rows] == ["0.0", "5.0"]
+    assert read_lines(ints.tables[0].path) == read_lines(floats.tables[0].path)

@@ -193,6 +193,8 @@ def test_family_validation():
     doc = CopulaFamily((RIGHT, DOWN), uniform, (0, 0), stride=0).to_json()
     bad_docs = [doc.replace("0.25", token, 1) for token in ("NaN", "Infinity", "-Infinity")]
     bad_docs += ["[1]", doc.replace('"n_pairs"', '"pairs"'), doc.replace('"stride":0', '"stride":null')]
+    # each of these three used to end in an OverflowError or a RecursionError
+    bad_docs += [doc.replace("0.25", "1" + "0" * 400, 1), '{"version": 1, "bins": 1e999}', "[" * 10**5]
     for text in bad_docs:
         with pytest.raises(ValueError):
             CopulaFamily.from_json(text)
@@ -228,6 +230,31 @@ def test_serialization_roundtrip():
     payload = json.loads(doc)
     assert payload["version"] == 1
     assert len(payload["cells"][0]) == 64
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner),
+    max_leaves=16,
+)
+FAMILY_KEYS = ("bins", "deltas", "cells", "n_pairs", "stride")
+
+
+@given(
+    st.text()
+    | JSON_VALUES.map(json.dumps)
+    | st.fixed_dictionaries(
+        {"version": st.sampled_from([1, 1.0, "1"])},
+        optional={k: JSON_VALUES for k in FAMILY_KEYS},
+    ).map(json.dumps)
+)
+def test_from_json_parses_or_raises_value_error(text):
+    try:
+        fam = CopulaFamily.from_json(text)
+    except ValueError:
+        return
+    assert isinstance(fam, CopulaFamily)
+    assert np.isfinite(fam.cells).all()
 
 
 def test_serial_matches_threaded():
