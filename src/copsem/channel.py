@@ -33,9 +33,10 @@ def transmit(data: bytes, cfg: ChannelConfig) -> bytes:
     return np.packbits(bits ^ mask).tobytes()
 
 
-def trial_seed(master_seed: int, trial: int) -> int:
-    """Counter-based per-trial seed; stable across platforms."""
-    ss = np.random.SeedSequence((master_seed, trial))
+def trial_seed(master_seed: int, *tags: int) -> int:
+    """Counter-based seed for the stream named by tags (a trial index, or a
+    sweep tag and point index); stable across platforms."""
+    ss = np.random.SeedSequence((master_seed, *tags))
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -1,13 +1,13 @@
 """Command line front end. Exit code 0: every asserted inequality held;
 1: a check failed, with one `check failed: ...` line per failed check;
-2: bad input or usage, with one `copsem: ...` stderr line."""
+2: bad input (one `copsem: ...` stderr line) or argparse's usage error."""
 
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import bounds as bounds_mod
 from .bounds import ConcentrationParams, DecoderModel, EncoderModel
@@ -16,6 +16,7 @@ from .harness import (
     ExperimentResult,
     Table,
     _cell,
+    _nominal_d,
     _write_table,
     run_axiom_table,
     run_channel_sweep,
@@ -37,39 +38,65 @@ def _parse_delta(text: str) -> Displacement:
         raise argparse.ArgumentTypeError(f"expected dx,dy got {text!r}") from None
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON or key=value experiment config file")
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument(
-        "--delta",
-        type=_parse_delta,
-        action="append",
-        default=None,
-        help="displacement dx,dy; repeatable",
-    )
-    p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory for CSVs")
-    p.add_argument("--corpus", nargs="*", default=None, help="PGM files (default: builtin synthetics)")
-    p.add_argument("--trials", type=int, default=None)
+# Every argument, defined once: name -> (flag, add_argument keywords). A
+# flag's value lands under its name, and the names of ExperimentConfig
+# fields (bins, deltas, stride, seed, out_dir, corpus, trials, bers, alphas)
+# override that field of the config. Unset flags default to None.
+_ARGS = {
+    "config": ("--config", dict(help="JSON or key=value experiment config file")),
+    "bins": ("--bins", dict(type=int, help="bins per copula axis, B")),
+    "deltas": ("--delta", dict(type=_parse_delta, action="append", help="dx,dy; repeatable")),
+    "stride": ("--stride", dict(type=int, help="anchor stride of the estimate")),
+    "seed": ("--seed", dict(type=int, help="master seed")),
+    "out_dir": ("--out", dict(help="output directory for CSVs")),
+    "corpus": ("--corpus", dict(nargs="*", help="PGM files (default: builtin synthetics)")),
+    "trials": ("--trials", dict(type=int, help="channel trials per bit-error rate")),
+    "alphas": ("--alphas", dict(type=float, nargs="*", help="quantizer steps")),
+    "bers": ("--ber", dict(type=float, action="append", help="bit-error rate; repeatable")),
+    "alpha": ("--alpha", dict(type=float, default=1 / 64, help="quantizer step")),
+    "t": ("--t", dict(type=float, default=0.1, help="estimation radius, mean L1")),
+    "eta": ("--eta", dict(type=float, default=0.05, help="estimation failure probability")),
+    "cbins": ("--cbins", dict(type=int, default=4, help="bins, concentration setup")),
+    "cdeltas": ("--cdeltas", dict(type=int, default=2, help="displacements, concentration setup")),
+    "ctrials": ("--ctrials", dict(type=int, default=500, help="concentration trials per arm")),
+    "control_n": ("--control-n", dict(type=int, default=10, help="pairs in the control arm")),
+    "eps": ("--eps", dict(type=float, default=0.05, help="end-to-end distortion target")),
+    "eps_est": ("--eps-est", dict(type=float, default=0.01, help="estimation budget")),
+    "eps_enc": ("--eps-enc", dict(type=float, default=0.5, help="encoder distortion, converse")),
+    "c": ("--c", dict(type=float, default=1.0, help="constant of the converse")),
+    "rho": ("--rho", dict(type=float, default=0.9, help="decoder contraction per compute unit")),
+    "delta0": ("--delta0", dict(type=float, default=0.1, help="decoder error at T = 0")),
+    "T_grid": ("--T", dict(type=float, action="append", help="compute budget; repeatable")),
+    "T": ("--T", dict(type=float, default=20.0, help="compute budget")),
+    "R": ("--R", dict(type=float, default=731.0, help="rate in bits")),
+    "c2": ("--c2", dict(type=float, help="encoder constant (default: fitted; bounds: 0.20814)")),
+    "d": ("--d", dict(type=int, help="encoder exponent (default |deltas| * (B^2 - 1))")),
+    "images": ("images", dict(nargs="+", help="PGM files")),
+    "a": ("a", dict(help="PGM file or family JSON")),
+    "b": ("b", dict(help="PGM file or family JSON")),
+}
 
 
 def _build_config(args) -> ExperimentConfig:
     """The --config file (or the defaults), overridden by each flag given."""
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    flags = {
-        "bins": args.bins,
-        "deltas": args.delta,
-        "stride": args.stride,
-        "seed": args.seed,
-        "out_dir": args.out,
-        "corpus": args.corpus,
-        "trials": args.trials,
-        "bers": getattr(args, "ber", None),
-        "alphas": getattr(args, "alphas", None) or None,  # a bare --alphas keeps the config's
-    }
-    updates = {k: tuple(v) if isinstance(v, list) else v for k, v in flags.items() if v is not None}
+    updates = {}
+    for f in fields(ExperimentConfig):
+        v = getattr(args, f.name, None)
+        if v is not None and (v or f.name != "alphas"):  # a bare --alphas keeps the config's
+            updates[f.name] = tuple(v) if isinstance(v, list) else v
     return replace(cfg, **updates)
+
+
+def _encoder(args, cfg: ExperimentConfig, default_c2: float | None = None) -> EncoderModel | None:
+    """EncoderModel(--c2, --d); d defaults to the nominal exponent and c2 to
+    default_c2. None when there is no c2, where --d alone is an error."""
+    c2 = default_c2 if args.c2 is None else args.c2
+    if c2 is None:
+        if args.d is not None:
+            raise ValueError("--d needs --c2")
+        return None
+    return EncoderModel(c2, _nominal_d(cfg) if args.d is None else args.d)
 
 
 def _load_family(path: str, cfg: ExperimentConfig):
@@ -81,8 +108,8 @@ def _load_family(path: str, cfg: ExperimentConfig):
     return extract_family(img, cfg.deltas, cfg.bins, cfg.stride), img
 
 
-def _cmd_extract(args) -> int:
-    cfg = _build_config(args)
+def _cmd_extract(args, cfg: ExperimentConfig) -> None:
+    """image -> copula family JSON"""
     os.makedirs(cfg.out_dir, exist_ok=True)
     for path in args.images:
         with open(path, "rb") as fh:
@@ -93,11 +120,10 @@ def _cmd_extract(args) -> int:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(fam.to_json())
         print(out_path)
-    return 0
 
 
-def _cmd_dpc(args) -> int:
-    cfg = _build_config(args)
+def _cmd_dpc(args, cfg: ExperimentConfig) -> None:
+    """distortion report for two images or families"""
     fam_a, img_a = _load_family(args.a, cfg)
     fam_b, img_b = _load_family(args.b, cfg)
     report = d_pc(fam_a, fam_b)
@@ -108,7 +134,6 @@ def _cmd_dpc(args) -> int:
     row = [args.a, args.b, *(r[2] for r in report.per_delta), report.d_pc, p, s]
     table = Table("copsem.distortion_report.v1", header + ["d_pc", "psnr", "ssim"], [row], None)
     _write_table(sys.stdout, table)
-    return 0
 
 
 def _finish(name: str, result: ExperimentResult) -> int:
@@ -126,56 +151,49 @@ def _finish(name: str, result: ExperimentResult) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_axioms(args) -> int:
-    cfg = _build_config(args)
-    return _finish("axioms", run_axiom_table(cfg, out_dir=cfg.out_dir))
+def _cmd_axioms(args, cfg: ExperimentConfig) -> ExperimentResult:
+    """invariance/severity table over a corpus"""
+    return run_axiom_table(cfg, out_dir=cfg.out_dir)
 
 
-def _cmd_rd(args) -> int:
-    cfg = _build_config(args)
-    return _finish("rd", run_rd_curve(cfg, out_dir=cfg.out_dir))
+def _cmd_rd(args, cfg: ExperimentConfig) -> ExperimentResult:
+    """rate-distortion sweep over a corpus"""
+    return run_rd_curve(cfg, out_dir=cfg.out_dir)
 
 
-def _cmd_concentration(args) -> int:
-    cfg = _build_config(args)
+def _cmd_concentration(args, cfg: ExperimentConfig) -> ExperimentResult:
+    """estimation sample-size experiment"""
     params = ConcentrationParams(args.cbins, args.cdeltas, args.t, args.eta)
-    result = run_concentration(
-        cfg, params, trials=args.ctrials, control_n=args.control_n, out_dir=cfg.out_dir
-    )
-    return _finish("concentration", result)
+    return run_concentration(cfg, params, args.ctrials, args.control_n, out_dir=cfg.out_dir)
 
 
-def _cmd_channel(args) -> int:
-    cfg = _build_config(args)
-    return _finish("channel", run_channel_sweep(cfg, alpha=args.alpha, out_dir=cfg.out_dir))
+def _cmd_channel(args, cfg: ExperimentConfig) -> ExperimentResult:
+    """bit-error-rate sweep"""
+    return run_channel_sweep(cfg, alpha=args.alpha, out_dir=cfg.out_dir)
 
 
-def _cmd_sla_pipeline(args) -> int:
-    cfg = _build_config(args)
+def _cmd_sla_pipeline(args, cfg: ExperimentConfig) -> ExperimentResult:
+    """end-to-end stage composition check"""
     dec = DecoderModel(args.rho, args.delta0)
-    t_grid = tuple(args.T) if args.T else (0.0, 5.0, 10.0, 20.0, 40.0)
-    result = run_sla_pipeline(cfg, alpha=args.alpha, dec=dec, t_grid=t_grid, out_dir=cfg.out_dir)
-    return _finish("sla-pipeline", result)
+    t_grid = tuple(args.T_grid) if args.T_grid else (0.0, 5.0, 10.0, 20.0, 40.0)
+    return run_sla_pipeline(cfg, alpha=args.alpha, dec=dec, t_grid=t_grid, out_dir=cfg.out_dir)
 
 
-def _cmd_sla_surface(args) -> int:
-    cfg = _build_config(args)
+def _cmd_sla_surface(args, cfg: ExperimentConfig) -> ExperimentResult:
+    """design surface eps(R, T) + inversions"""
     dec = DecoderModel(args.rho, args.delta0)
-    enc = None
-    if args.c2 is not None and args.d is not None:
-        enc = EncoderModel(args.c2, args.d)
-    result = run_sla_surface(
+    enc = _encoder(args, cfg)
+    return run_sla_surface(
         cfg, eps=args.eps, eps_est=args.eps_est, dec=dec, enc=enc, out_dir=cfg.out_dir
     )
-    return _finish("sla-surface", result)
 
 
-def _cmd_bounds(args) -> int:
-    cfg = _build_config(args)
+def _cmd_bounds(args, cfg: ExperimentConfig) -> None:
+    """closed-form calculators, name=value output"""
     params = ConcentrationParams(args.cbins, args.cdeltas, args.t, args.eta)
     n_deltas = len(cfg.deltas)
     dec = DecoderModel(args.rho, args.delta0)
-    enc = EncoderModel(args.c2, args.d if args.d is not None else n_deltas * (cfg.bins**2 - 1))
+    enc = _encoder(args, cfg, default_c2=0.20814)
     n_eff = bounds_mod.sample_complexity(params)
     lines = {
         "n_eff": n_eff,
@@ -188,92 +206,42 @@ def _cmd_bounds(args) -> int:
     }
     for key, val in lines.items():  # only r_min and t_min return None: infeasible
         print(f"{key}={'infeasible' if val is None else _cell(val)}")
-    return 0
+
+
+# Each subcommand: its handler and the _ARGS it reads besides config. A
+# handler returns the ExperimentResult to report, or None once it has
+# printed its output.
+_COMMANDS = {
+    "extract": (_cmd_extract, "bins deltas stride out_dir images"),
+    "dpc": (_cmd_dpc, "bins deltas stride a b"),
+    "axioms": (_cmd_axioms, "bins deltas stride seed out_dir corpus"),
+    "rd": (_cmd_rd, "bins deltas stride seed out_dir corpus alphas"),
+    "concentration": (_cmd_concentration, "seed out_dir t eta cbins cdeltas ctrials control_n"),
+    "channel": (_cmd_channel, "bins deltas seed out_dir trials alpha bers"),
+    "sla-pipeline": (_cmd_sla_pipeline, "bins deltas seed out_dir corpus alpha rho delta0 T_grid"),
+    "sla-surface": (_cmd_sla_surface, "bins deltas seed out_dir eps eps_est rho delta0 c2 d"),
+    "bounds": (
+        _cmd_bounds,
+        "bins deltas t eta cbins cdeltas alpha eps_enc c eps eps_est rho delta0 T R c2 d",
+    ),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="copsem",
-        description="rank-copula structural semantics toolkit",
-    )
+    ap = argparse.ArgumentParser("copsem", description="rank-copula structural semantics toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extract", help="image -> copula family JSON")
-    _common_flags(p)
-    p.add_argument("images", nargs="+")
-    p.set_defaults(fn=_cmd_extract)
-
-    p = sub.add_parser("dpc", help="distortion report for two images or families")
-    _common_flags(p)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_dpc)
-
-    p = sub.add_parser("axioms", help="invariance/severity table over a corpus")
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_axioms)
-
-    p = sub.add_parser("rd", help="rate-distortion sweep over a corpus")
-    _common_flags(p)
-    p.add_argument("--alphas", type=float, nargs="*", default=None)
-    p.set_defaults(fn=_cmd_rd)
-
-    p = sub.add_parser("concentration", help="estimation sample-size experiment")
-    _common_flags(p)
-    p.add_argument("--t", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--cbins", type=int, default=4)
-    p.add_argument("--cdeltas", type=int, default=2)
-    p.add_argument("--ctrials", type=int, default=500)
-    p.add_argument("--control-n", type=int, default=10)
-    p.set_defaults(fn=_cmd_concentration)
-
-    p = sub.add_parser("channel", help="bit-error-rate sweep")
-    _common_flags(p)
-    p.add_argument("--alpha", type=float, default=1 / 64)
-    p.add_argument("--ber", type=float, action="append", default=None)
-    p.set_defaults(fn=_cmd_channel)
-
-    p = sub.add_parser("sla-pipeline", help="end-to-end stage composition check")
-    _common_flags(p)
-    p.add_argument("--alpha", type=float, default=1 / 64)
-    p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument("--delta0", type=float, default=0.1)
-    p.add_argument("--T", type=float, action="append", default=None)
-    p.set_defaults(fn=_cmd_sla_pipeline)
-
-    p = sub.add_parser("sla-surface", help="design surface eps(R, T) + inversions")
-    _common_flags(p)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--eps-est", type=float, default=0.01)
-    p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument("--delta0", type=float, default=0.1)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.set_defaults(fn=_cmd_sla_surface)
-
-    p = sub.add_parser("bounds", help="closed-form calculators, name=value output")
-    _common_flags(p)
-    p.add_argument("--t", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--cbins", type=int, default=4)
-    p.add_argument("--cdeltas", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=1 / 64)
-    p.add_argument("--eps-enc", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--eps-est", type=float, default=0.01)
-    p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument("--delta0", type=float, default=0.1)
-    p.add_argument("--T", type=float, default=20.0)
-    p.add_argument("--R", type=float, default=731.0)
-    p.add_argument("--c2", type=float, default=0.20814)
-    p.add_argument("--d", type=int, default=None)
-    p.set_defaults(fn=_cmd_bounds)
-
+    for command, (fn, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=fn.__doc__)
+        for name in ("config", *names.split()):
+            flag, kwargs = _ARGS[name]
+            if flag != name:  # argparse takes no dest for a positional
+                kwargs = dict(kwargs, dest=name)
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        result = args.fn(args, _build_config(args))
+        return 0 if result is None else _finish(args.command, result)
     except (ValueError, OSError) as exc:
         print(f"copsem: {exc}", file=sys.stderr)
         return 2

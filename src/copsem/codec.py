@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import enc_distortion_bound
+from .bounds import enc_distortion_bound, rate_achievability
 from .metrics import d_pc
 from .rank_copula import CopulaFamily, Displacement
 
@@ -155,9 +155,8 @@ class RdPoint:
 def rd_point(family: CopulaFamily, alpha: float) -> RdPoint:
     q = quantize(family, alpha)
     decoded = dequantize(q)
-    n = len(family.deltas)
     b2 = family.bins * family.bins
-    rate_theory = n * (b2 - 1) * math.log2(1.0 / alpha)
+    rate_theory = rate_achievability(len(family.deltas), family.bins, alpha)
     rate_emp = sum(b2 * entropy_bits(g) for g in q.indices)
     dist = d_pc(family, decoded).d_pc
     return RdPoint(alpha, rate_theory, rate_emp, dist, enc_distortion_bound(family.bins, alpha))

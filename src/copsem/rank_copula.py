@@ -177,7 +177,9 @@ class CopulaFamily:
     @classmethod
     def from_json(cls, text: str) -> "CopulaFamily":
         """Parse to_json output. Malformed JSON, a missing or mistyped field
-        and the NaN and Infinity tokens all raise ValueError."""
+        (bins, stride, n_pairs and delta components must be JSON integers,
+        each delta a [dx, dy] pair) and the NaN and Infinity tokens all raise
+        ValueError."""
         try:
             doc = json.loads(text, parse_constant=_reject_json_constant)
         except RecursionError:
@@ -187,12 +189,22 @@ class CopulaFamily:
         if doc.get("version") != SERIAL_VERSION:
             raise ValueError(f"unsupported serialization version {doc.get('version')!r}")
         try:
-            bins = int(doc["bins"])
-            deltas = tuple(Displacement(int(dx), int(dy)) for dx, dy in doc["deltas"])
+            bins = _json_int(doc["bins"])
+            if not all(isinstance(d, list) and len(d) == 2 for d in doc["deltas"]):
+                raise ValueError("family JSON deltas must be [dx, dy] pairs")
+            deltas = tuple(Displacement(*map(_json_int, d)) for d in doc["deltas"])
             cells = np.asarray(doc["cells"], dtype=np.float64).reshape(-1, bins, bins)
-            return cls(deltas, cells, tuple(doc["n_pairs"]), int(doc["stride"]))
+            n_pairs = tuple(map(_json_int, doc["n_pairs"]))
+            return cls(deltas, cells, n_pairs, _json_int(doc["stride"]))
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed family JSON: {exc!r}") from None
+
+
+def _json_int(v) -> int:
+    """A JSON integer as is; a float, a bool or a string raises ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"family JSON: expected an integer, got {v!r}")
+    return v
 
 
 def _reject_json_constant(token: str):

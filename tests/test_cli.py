@@ -100,12 +100,54 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
         ["sla-pipeline", "--out", str(tmp_path / "out"), "--alpha", "1e-320"],  # used to end in
         ["channel", "--out", str(tmp_path / "out"), "--alpha", "1e-300"],  # an OverflowError
         ["rd", "--out", str(tmp_path / "out"), "--alphas", "1e-300"],  # used to overflow int64
+        ["sla-surface", "--out", str(tmp_path / "out"), "--d", "100"],  # --d without --c2
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("copsem: "), captured.err
+
+
+# Each (subcommand, flag) pair was accepted and then ignored; each is now
+# a usage error.
+REMOVED_FLAGS = [
+    ("extract", "--seed", "1"),
+    ("extract", "--corpus", "x.pgm"),
+    ("extract", "--trials", "3"),
+    ("dpc", "--seed", "1"),
+    ("dpc", "--out", "out"),
+    ("dpc", "--corpus", "x.pgm"),
+    ("dpc", "--trials", "3"),
+    ("axioms", "--trials", "3"),
+    ("rd", "--trials", "3"),
+    ("concentration", "--bins", "16"),
+    ("concentration", "--delta", "1,0"),
+    ("concentration", "--stride", "3"),
+    ("concentration", "--corpus", "x.pgm"),
+    ("concentration", "--trials", "3"),
+    ("channel", "--stride", "3"),
+    ("channel", "--corpus", "x.pgm"),
+    ("sla-pipeline", "--stride", "3"),
+    ("sla-pipeline", "--trials", "3"),
+    ("sla-surface", "--stride", "3"),
+    ("sla-surface", "--corpus", "x.pgm"),
+    ("sla-surface", "--trials", "3"),
+    ("bounds", "--stride", "3"),
+    ("bounds", "--seed", "5"),
+    ("bounds", "--out", "/nonexistent"),
+    ("bounds", "--corpus", "x.pgm"),
+    ("bounds", "--trials", "3"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, value, capsys):
+    positionals = {"extract": ["a.pgm"], "dpc": ["a.pgm", "b.pgm"]}.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *positionals, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy_stats():
@@ -270,6 +312,13 @@ def test_sla_surface_subcommand_exits_zero(tmp_path, capsys):
     assert lines[0].startswith("enc_c2=0.20814 enc_d=252 ")
     assert lines[1].startswith("sla-surface: ok=true rows=")
     assert os.path.exists(out / "sla_surface.csv")
+
+
+def test_sla_surface_c2_alone_uses_the_nominal_d(tmp_path, capsys):
+    # used to be dropped in favour of the fitted c2 = 9.43 unless --d came too
+    rc = main(["sla-surface", "--out", str(tmp_path / "out"), "--c2", "0.5", "--bins", "4"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("enc_c2=0.5 enc_d=60 ")
 
 
 def test_bounds_prints_name_value_lines(capsys):

@@ -300,6 +300,19 @@ def test_mix_with_uniform_hits_target():
     assert solve_decoder_weight(fam, 10.0) == 1.0
 
 
+@pytest.mark.parametrize("target", [1e-15, 1e-30])
+def test_decoder_weight_brackets_tiny_targets_to_one_ulp(target):
+    # an 80-step bisection stopped at w = 2**-81, far above these targets
+    fam = fixture_family(ExperimentConfig(bins=4))
+
+    def d(w):
+        return d_pc(fam, mix_with_uniform(fam, w)).d_pc
+
+    w = solve_decoder_weight(fam, target)
+    above, below = math.nextafter(w, 1.0), math.nextafter(w, 0.0)
+    assert d(w) < target <= d(above) or d(below) < target <= d(w)
+
+
 def test_csv_determinism(tmp_path):
     cfg = ExperimentConfig()
     a = run_channel_sweep(cfg, out_dir=str(tmp_path / "a"))

@@ -195,6 +195,19 @@ def test_family_validation():
     bad_docs += ["[1]", doc.replace('"n_pairs"', '"pairs"'), doc.replace('"stride":0', '"stride":null')]
     # each of these three used to end in an OverflowError or a RecursionError
     bad_docs += [doc.replace("0.25", "1" + "0" * 400, 1), '{"version": 1, "bins": 1e999}', "[" * 10**5]
+    # each of these eight used to be coerced into a family
+    fields = json.loads(doc)
+    for key, value in (
+        ("deltas", ["10", [0, 1]]),
+        ("n_pairs", [1.5, 0]),
+        ("n_pairs", "10"),
+        ("n_pairs", [True, 0]),
+        ("stride", 1.9),
+        ("stride", True),
+        ("bins", 2.7),
+        ("bins", "2"),
+    ):
+        bad_docs.append(json.dumps({**fields, key: value}))
     for text in bad_docs:
         with pytest.raises(ValueError):
             CopulaFamily.from_json(text)
