@@ -95,7 +95,7 @@ def rate_converse(n_deltas: int, bins: int, eps_enc: float, c: float = 1.0) -> f
         raise ValueError("need n_deltas >= 1 and bins >= 2")
     if not 0.0 < eps_enc < 1.0:
         raise ValueError(f"eps_enc must be in (0, 1), got {eps_enc!r}")
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError(f"c must be > 0, got {c!r}")
     return c * n_deltas * (bins * bins - 1) * math.log2(1.0 / eps_enc)
 
@@ -142,11 +142,11 @@ class DecoderModel:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho!r}")
-        if self.delta0 <= 0.0:
+        if not self.delta0 > 0.0:
             raise ValueError(f"delta0 must be > 0, got {self.delta0!r}")
 
     def error(self, t: float) -> float:
-        if t < 0.0:
+        if not t >= 0.0:
             raise ValueError(f"compute budget must be >= 0, got {t!r}")
         return (self.rho**t) * self.delta0
 
@@ -160,18 +160,20 @@ class EncoderModel:
     d: int
 
     def __post_init__(self):
-        if self.c2 <= 0.0:
+        if not self.c2 > 0.0:
             raise ValueError(f"c2 must be > 0, got {self.c2!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
 
     def error(self, rate: float) -> float:
-        if rate < 0.0:
+        if not rate >= 0.0:
             raise ValueError(f"rate must be >= 0, got {rate!r}")
         return self.c2 * 2.0 ** (-rate / self.d)
 
 
 def _headroom(eps: float, eps_est: float, stage_error: float) -> float | None:
+    if math.isnan(eps) or math.isnan(eps_est):
+        raise ValueError(f"eps and eps_est must be numbers, got {eps!r} and {eps_est!r}")
     if eps <= eps_est:
         raise ValueError("eps must exceed eps_est")
     h = eps - eps_est - stage_error

@@ -82,6 +82,15 @@ def quantize(family: CopulaFamily, alpha: float) -> QuantizedFamily:
     return QuantizedFamily(alpha, family.bins, family.deltas, grids)
 
 
+def _dequantize_rows(indices: np.ndarray, alpha: float, bins: int) -> np.ndarray:
+    """Cells of (..., B*B) index rows: index * alpha, renormalized per row;
+    an all-zero row decodes to the uniform copula."""
+    cells = indices.astype(np.float64) * alpha
+    totals = cells.sum(axis=-1, keepdims=True)
+    empty = totals == 0.0
+    return np.where(empty, 1.0 / (bins * bins), cells / np.where(empty, 1.0, totals))
+
+
 def dequantize(q: QuantizedFamily) -> CopulaFamily:
     """Reconstruct index * alpha, then renormalize each copula.
 
@@ -89,10 +98,7 @@ def dequantize(q: QuantizedFamily) -> CopulaFamily:
     stride = 0: it is not a direct estimate.
     """
     n = len(q.deltas)
-    cells = q.indices.reshape(n, -1).astype(np.float64) * q.alpha
-    totals = cells.sum(axis=1, keepdims=True)
-    empty = totals == 0.0
-    cells = np.where(empty, 1.0 / (q.bins * q.bins), cells / np.where(empty, 1.0, totals))
+    cells = _dequantize_rows(q.indices.reshape(n, -1), q.alpha, q.bins)
     return CopulaFamily(q.deltas, cells.reshape(q.indices.shape), (0,) * n, stride=0)
 
 
@@ -105,6 +111,24 @@ def pack(q: QuantizedFamily) -> bytes:
     shifts = np.arange(L - 1, -1, -1, dtype=np.int64)
     bits = ((flat[:, None] >> shifts) & 1).astype(np.uint8).ravel()
     return np.packbits(bits).tobytes()
+
+
+def _unpack_rows(streams: Sequence[bytes], alpha: float, n_cells: int) -> np.ndarray:
+    """The (c, n_cells) int64 indices of c streams of one geometry, each
+    decoded as unpack does."""
+    L = bits_per_cell(alpha)
+    n_bits = n_cells * L
+    expected = (n_bits + 7) // 8
+    for data in streams:
+        if len(data) != expected:
+            raise ValueError(f"stream holds {len(data)} bytes, geometry needs {expected}")
+    buf = np.frombuffer(b"".join(streams), dtype=np.uint8).reshape(len(streams), expected)
+    planes = np.unpackbits(buf, axis=1)[:, :n_bits].reshape(len(streams), n_cells, L)
+    values = np.zeros((len(streams), n_cells), dtype=np.int64)
+    for plane in range(L):  # one bit plane at a time, most significant first
+        values <<= 1
+        values |= planes[:, :, plane]
+    return np.minimum(values, levels_for_alpha(alpha) - 1)
 
 
 def unpack(
@@ -120,17 +144,7 @@ def unpack(
     not a power of two) clamp to levels - 1; trailing pad bits are ignored.
     """
     deltas = tuple(Displacement(*d) for d in deltas)
-    L = bits_per_cell(alpha)
-    lv = levels_for_alpha(alpha)
-    n_cells = len(deltas) * bins * bins
-    n_bits = n_cells * L
-    expected = (n_bits + 7) // 8
-    if len(data) != expected:
-        raise ValueError(f"stream holds {len(data)} bytes, geometry needs {expected}")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n_bits]
-    weights = 1 << np.arange(L - 1, -1, -1, dtype=np.int64)
-    values = bits.reshape(n_cells, L).astype(np.int64) @ weights
-    values = np.minimum(values, lv - 1)
+    values = _unpack_rows([data], alpha, len(deltas) * bins * bins)[0]
     return QuantizedFamily(alpha, bins, deltas, values.reshape(len(deltas), bins, bins))
 
 

@@ -31,7 +31,7 @@ from .bounds import (
 from .channel import ber_experiment, trial_seed
 from .codec import dequantize, quantize, rd_sweep
 from .image_io import U8, GrayImage, read_pgm
-from .metrics import d_pc, format_float, psnr, ssim
+from .metrics import _d_pc_batch, d_pc, format_float, psnr, ssim
 from .rank_copula import (
     DEFAULT_BINS,
     DEFAULT_DELTAS,
@@ -509,11 +509,16 @@ def run_channel_sweep(
 # end-to-end SLA pipeline
 
 
+def _mix_cells(cells: np.ndarray, w: float, b2: int) -> np.ndarray:
+    """(1 - w) * cells + w * uniform, for copulas of b2 cells."""
+    return (1.0 - w) * cells + w / b2
+
+
 def mix_with_uniform(family: CopulaFamily, w: float) -> CopulaFamily:
     """(1 - w) * family + w * uniform, per copula."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1], got {w!r}")
-    cells = (1.0 - w) * family.cells + w / (family.bins * family.bins)
+    cells = _mix_cells(family.cells, w, family.bins * family.bins)
     return CopulaFamily(family.deltas, cells, (0,) * len(family.deltas), stride=0)
 
 
@@ -521,14 +526,26 @@ def solve_decoder_weight(family: CopulaFamily, target: float) -> float:
     """Bisect the mixing weight whose measured distortion hits target
     (capped at the distance to the uniform family). The bracket keeps
     d(lo) < target <= d(hi) and shrinks until no float lies strictly
-    between lo and hi; the returned midpoint is then one of the two."""
+    between lo and hi; the returned midpoint is then one of the two.
+
+    Each step scores the mixed cells of mix_with_uniform with the array
+    kernel of d_pc, building no family: a mix of two distributions needs
+    no mass check."""
+    if math.isnan(target):
+        raise ValueError("decoder target must be a number, got nan")
     if target <= 0.0:
         return 0.0
-    if d_pc(family, mix_with_uniform(family, 1.0)).d_pc <= target:
+    cells = family.cells.reshape(len(family.deltas), -1)
+    b2 = family.bins * family.bins
+
+    def distance(w: float) -> float:
+        return _d_pc_batch(cells, _mix_cells(cells, w, b2)[None])[0]
+
+    if distance(1.0) <= target:
         return 1.0
     lo, hi = 0.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if d_pc(family, mix_with_uniform(family, mid)).d_pc < target:
+        if distance(mid) < target:
             lo = mid
         else:
             hi = mid

@@ -34,21 +34,72 @@ def _as_dist(x, name: str) -> np.ndarray:
     return arr
 
 
-def _js_rows(p: np.ndarray, q: np.ndarray) -> list[float]:
-    """JS divergence between matching rows of two (D, n) distribution arrays.
+def _row_sums(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """np.sum(a[r][keep[r]]) for every row r of two (R, m) arrays, to the last bit.
 
-    Each row sums over its own support, as the one-row case does; summing
-    zero-filled rows would change the summation order and the last bits."""
-    m = 0.5 * (p + q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tp = p * np.log(p / m)
-        tq = q * np.log(q / m)
-    out = []
-    for k in range(p.shape[0]):
-        js = 0.5 * float(np.sum(tp[k][p[k] > 0.0])) + 0.5 * float(np.sum(tq[k][q[k] > 0.0]))
-        # clamp the last-ulp float residue; mathematically 0 <= JS <= ln 2
-        out.append(min(max(js, 0.0), LN2))
+    numpy sums a 1-D float array pairwise: under 8 terms in sequence from
+    0.0; up to 128 terms in 8 lanes r[j] += a[i + j], combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder in
+    sequence; above 128 terms it splits at n // 2 rounded down to a multiple
+    of 8 and recurses. A sum along an axis of zero-filled rows takes another
+    order and changes the last bits.
+
+    Here the kept term of rank c in its row goes to slot (c - 1) % 8 of the
+    row, a lane, or to slot 8 + (c - 1) % 8 once it is past the last full
+    lane block. np.bincount adds in input order, so a lane holds
+    0.0 + a[j] + a[8 + j] + ...; an 8-wide row sum combines the lanes in
+    the order above, and a cumsum adds the remainder. Zeros that are not
+    terms can only flip the sign of a zero, and as in np.sum, which starts
+    from 0.0, no row sums to -0.0."""
+    c = np.cumsum(keep, axis=1)
+    k = c[:, -1]
+    rows = len(k)
+    big = np.flatnonzero(k > 128) if a.shape[1] > 128 else ()
+    if len(big):
+        left = keep[big] & (c[big] <= (k[big, None] // 2 & -8))
+        split = _row_sums(a[big], left) + _row_sums(a[big], keep[big] & ~left)
+    slot = (c - 1) & 7
+    slot += 8 * (c > (k & -8)[:, None])
+    slot += np.arange(0, 16 * rows, 16)[:, None]
+    v = np.bincount(slot[keep], a[keep], 16 * rows).reshape(rows, 16)
+    v[:, 7] = v[:, :8].sum(axis=1)
+    out = v[:, 7:15].cumsum(axis=1)[:, -1]
+    if len(big):  # their lanes above were filled past 128 terms; replace them
+        out[big] = split
     return out
+
+
+def _js_batch(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """JS divergence of each row of a (D, n) reference against the matching
+    row of each of C candidates (C, D, n), as a (C, D) array.
+
+    The terms are computed on the whole layout and masked afterwards; each
+    row then sums over its own support, as the 1-D case does."""
+    m = 0.5 * (ref + cand)
+    x = np.empty((2, *cand.shape))
+    x[0], x[1] = ref, cand
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = x * np.log(x / m)
+    n = cand.shape[-1]
+    sp, sq = _row_sums(terms.reshape(-1, n), (x > 0.0).reshape(-1, n)).reshape(x.shape[:-1])
+    js = 0.5 * sp
+    js += 0.5 * sq
+    # clamp the last-ulp float residue; mathematically 0 <= JS <= ln 2
+    np.maximum(js, 0.0, out=js)
+    return np.minimum(js, LN2, out=js)
+
+
+def _mean_sqrt(js: np.ndarray) -> np.ndarray:
+    """d_pc from (C, D) JS terms: the mean of sqrt(JS) over displacements,
+    summed in sequence as Python's sum does."""
+    return np.sqrt(js).cumsum(axis=-1)[..., -1] / js.shape[-1]
+
+
+def _d_pc_batch(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """d_pc of a (D, n) reference against each of C candidates (C, D, n), as a
+    (C,) array equal to the one-candidate d_pc bit for bit. The caller
+    vouches that every row is a distribution."""
+    return _mean_sqrt(_js_batch(ref, cand))
 
 
 def js_divergence(p, q) -> float:
@@ -63,7 +114,7 @@ def js_divergence(p, q) -> float:
     q = _as_dist(q, "q")
     if p.size != q.size:
         raise ValueError(f"length mismatch: {p.size} vs {q.size}")
-    return _js_rows(p[None], q[None])[0]
+    return float(_js_batch(p[None], q[None, None])[0, 0])
 
 
 def l1_distance(p, q) -> float:
@@ -109,10 +160,9 @@ def d_pc(a: CopulaFamily, b: CopulaFamily) -> DistortionReport:
             f"bins {a.bins} vs {b.bins}"
         )
     n = len(a.deltas)
-    js = _js_rows(a.cells.reshape(n, -1), b.cells.reshape(n, -1))
-    rows = [(delta, v, math.sqrt(v)) for delta, v in zip(a.deltas, js)]
-    mean = sum(r[2] for r in rows) / len(rows)
-    return DistortionReport(tuple(rows), mean)
+    js = _js_batch(a.cells.reshape(n, -1), b.cells.reshape(1, n, -1))
+    rows = tuple((delta, v, math.sqrt(v)) for delta, v in zip(a.deltas, js[0].tolist()))
+    return DistortionReport(rows, float(_mean_sqrt(js)[0]))
 
 
 def _check_u8_pair(a: GrayImage, b: GrayImage):

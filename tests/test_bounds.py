@@ -117,6 +117,23 @@ def test_r_min_zero_when_already_met():
     assert r_min(20.0, dec=DEC, enc=tiny_enc, **OPERATING) == 0.0
 
 
+def test_nan_inputs_raise_instead_of_reading_as_met():
+    nan = math.nan
+    for call in (
+        lambda: DEC.error(nan),
+        lambda: ENC_REF.error(nan),
+        lambda: DecoderModel(0.9, nan),
+        lambda: EncoderModel(nan, 252),
+        lambda: r_min(20.0, eps=nan, eps_est=0.01, dec=DEC, enc=ENC_REF),
+        lambda: r_min(20.0, eps=0.05, eps_est=nan, dec=DEC, enc=ENC_REF),
+        lambda: t_min(731.0, eps=nan, eps_est=0.01, dec=DEC, enc=ENC_REF),
+        lambda: rate_converse(4, 8, 0.5, c=nan),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert DEC.error(math.inf) == 0.0 and ENC_REF.error(math.inf) == 0.0
+
+
 def test_t_min_roundtrip():
     for t in (10.0, 17.0, 25.0):
         r = r_min(t, dec=DEC, enc=ENC_REF, **OPERATING)

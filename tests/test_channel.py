@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copsem.channel import (
+    TRIAL_BLOCK,
     ChannelConfig,
     ber_experiment,
     transmit,
     trial_seed,
 )
-from copsem.codec import pack, quantize, unpack
+from copsem.codec import dequantize, pack, quantize, unpack
+from copsem.metrics import d_pc
 
 from conftest import make_family
 
@@ -87,3 +89,25 @@ def test_corrupted_roundtrip_still_decodes(rng):
     noisy = transmit(pack(q), ChannelConfig(0.05, 4))
     back = unpack(noisy, 1 / 64, 8, fam.deltas)
     assert int(back.indices.max()) < q.levels
+
+
+def _trial_by_trial(q, ber, trials, master_seed):
+    """The distortions as ber_experiment scored them before blocking: one
+    transmit, unpack, dequantize and d_pc per trial."""
+    reference = dequantize(q)
+    payload = pack(q)
+    out = []
+    for t in range(trials):
+        corrupted = transmit(payload, ChannelConfig(ber, trial_seed(master_seed, t)))
+        out.append(d_pc(reference, dequantize(unpack(corrupted, q.alpha, q.bins, q.deltas))).d_pc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("alpha", [1 / 64, 0.1])  # 0.1: 11 levels in 4 bits, so indices clamp
+@pytest.mark.parametrize("ber", [0.0, 1e-3, 0.5])
+def test_blocked_trials_match_trial_by_trial(rng, alpha, ber):
+    q = quantize(make_family(rng, conc=0.3), alpha)
+    trials = TRIAL_BLOCK + 6  # one full block and one partial block
+    exp = ber_experiment(q, ber, trials, 31)
+    assert exp.distortions == _trial_by_trial(q, ber, trials, 31)
+    assert len(exp.distortions) == trials

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -340,6 +341,47 @@ def test_bounds_reports_infeasible_designs(capsys):
     assert rc == 0
     rec = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert rec["r_min_bits"] == "infeasible"
+
+
+def _exits_two_with_one_line(argv, capsys):
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("copsem: "), captured.err
+
+
+# Each NaN budget used to pass the "< 0" tests and exit 0, read as met at
+# no cost through max(0.0, nan) == 0.0.
+def test_bounds_nan_compute_budget_exits_two(capsys):
+    _exits_two_with_one_line(["bounds", "--T", "nan"], capsys)  # printed r_min_bits=0.0
+
+
+def test_bounds_nan_target_exits_two(capsys):
+    _exits_two_with_one_line(["bounds", "--eps", "nan"], capsys)  # printed r_min and t_min 0.0
+
+
+def test_bounds_nan_rate_exits_two(capsys):
+    _exits_two_with_one_line(["bounds", "--R", "nan"], capsys)  # printed t_min=0.0
+
+
+def test_bounds_nan_converse_constant_exits_two(capsys):
+    _exits_two_with_one_line(["bounds", "--c", "nan"], capsys)  # printed rate_converse_bits=nan
+
+
+def test_sla_pipeline_nan_compute_budget_exits_two(tmp_path, capsys):
+    # used to write a T=nan row with ok=true after a 1075-step bisection
+    out = tmp_path / "out"
+    _exits_two_with_one_line(["sla-pipeline", "--out", str(out), "--T", "nan"], capsys)
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_bounds_infinite_budgets_mean_zero_stage_error(capsys):
+    assert main(["bounds", "--T", "inf", "--R", "inf"]) == 0
+    rec = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    # h = eps - eps_est = 0.04 with no decode or encode error left
+    assert float(rec["r_min_bits"]) == pytest.approx(63 * 4 * math.log2(0.20814 / 0.04))
+    assert float(rec["t_min"]) == pytest.approx(math.log(0.1 / 0.04) / math.log(1 / 0.9))
 
 
 def test_config_file_sets_output_directory(tmp_path, capsys):

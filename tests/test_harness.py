@@ -24,8 +24,10 @@ from copsem.harness import (
     solve_decoder_weight,
     synthetic_corpus,
 )
+from copsem.codec import dequantize, quantize
 from copsem.image_io import write_pgm
 from copsem.metrics import d_pc
+from copsem.rank_copula import extract_family, non_overlapping_stride
 
 
 def read_lines(path):
@@ -311,6 +313,44 @@ def test_decoder_weight_brackets_tiny_targets_to_one_ulp(target):
     w = solve_decoder_weight(fam, target)
     above, below = math.nextafter(w, 1.0), math.nextafter(w, 0.0)
     assert d(w) < target <= d(above) or d(below) < target <= d(w)
+
+
+def _stepwise_decoder_weight(family, target):
+    """The bisection as it was before the array kernel: each step builds the
+    mixed family and scores it with the public d_pc."""
+    if target <= 0.0:
+        return 0.0
+    if d_pc(family, mix_with_uniform(family, 1.0)).d_pc <= target:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if d_pc(family, mix_with_uniform(family, mid)).d_pc < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def test_decoder_weight_matches_the_stepwise_bisection():
+    # every corpus image as run_sla_pipeline encodes it, at the default T
+    # grid and at T = 300, where the target is near 1e-15
+    cfg = ExperimentConfig()
+    dec = DecoderModel(0.9, 0.1)
+    sub = non_overlapping_stride(cfg.deltas)
+    images = load_corpus(cfg)
+    assert len(images) == 20
+    for _, img in images:
+        est = extract_family(img, cfg.deltas, cfg.bins, stride=sub)
+        enc = dequantize(quantize(est, 1 / 64))
+        for t in (0.0, 5.0, 10.0, 20.0, 40.0, 300.0):
+            target = dec.error(t)
+            assert solve_decoder_weight(enc, target) == _stepwise_decoder_weight(enc, target)
+
+
+def test_decoder_weight_rejects_a_nan_target():
+    fam = fixture_family(ExperimentConfig(bins=4))
+    with pytest.raises(ValueError):
+        solve_decoder_weight(fam, math.nan)
 
 
 def test_csv_determinism(tmp_path):

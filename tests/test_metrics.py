@@ -8,6 +8,8 @@ from copsem.codec import dequantize, quantize
 from copsem.image_io import GrayImage, synth_noise
 from copsem.metrics import (
     LN2,
+    _d_pc_batch,
+    _row_sums,
     SQRT_LN2,
     SSIM_C1,
     SSIM_C2,
@@ -170,6 +172,106 @@ def _support_sum_js(p, q):
         np.sum(q[qm] * np.log(q[qm] / m[qm]))
     )
     return min(max(js, 0.0), LN2)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("width", [*range(1, 65), 100, 127, 128, 129, 136, 200, 256, 257, 300])
+def test_row_sums_match_one_dimensional_np_sum(width):
+    # each width holds every support size from 0 to the full row; widths
+    # above 128 reach the recursive split that 16 bins per axis need
+    rng = np.random.default_rng(width)
+    rows = 2 * (width + 1)
+    a = rng.standard_normal((rows, width)) * rng.random((rows, width)) ** 3
+    keep = np.arange(width) < (np.arange(rows) % (width + 1))[:, None]
+    scatter = rng.permuted(np.tile(np.arange(width), (rows, 1)), axis=1)
+    keep[width + 1 :] = np.take_along_axis(keep[width + 1 :], scatter[width + 1 :], axis=1)
+    want = [np.sum(row[k]) for row, k in zip(a, keep)]
+    assert _bits(_row_sums(a, keep)) == _bits(want)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 63, 64, 127, 128, 129, 136, 255, 256, 300])
+def test_row_sums_of_one_row_match_np_sum(size):
+    # a lone row: every row of the call on one side of the 128-term split
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((1, 300))
+    keep = rng.permutation(np.arange(300) < size)[None]
+    assert _bits(_row_sums(a, keep)) == _bits([np.sum(a[0][keep[0]])])
+
+
+def _per_row_d_pc(ref, cand):
+    """d_pc as the one-row sums always scored it: JS of each row pair over its
+    own support, sqrt, then the mean in Python's sum order."""
+    roots = [math.sqrt(_support_sum_js(p, q)) for p, q in zip(ref, cand)]
+    return sum(roots) / len(roots)
+
+
+def _zero_cell(rows, cell):
+    out = rows.copy()
+    out[:, cell] = 0.0
+    return out / out.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("bins", [2, 3, 8, 16])
+def test_batched_d_pc_matches_per_row_reference(bins):
+    rng = np.random.default_rng(bins)
+    fams = [make_family(rng, bins=bins, conc=c) for c in (0.05, 0.3, 1.0, 5.0)]
+    fams += [dequantize(quantize(f, a)) for f, a in zip(fams, (1 / 8, 1 / 16, 1 / 32, 1 / 64))]
+    rows = [f.cells.reshape(4, -1) for f in fams]
+    ref = _zero_cell(rows[5], 0)  # zero cells on the reference side
+    point = np.zeros_like(ref)
+    point[:, 0] = 1.0  # all mass where the reference has none: JS = ln 2
+    mixed = rows[0].copy()
+    mixed[2] = ref[2]  # one row identical to the reference, the others not
+    cand = np.stack([*rows, _zero_cell(rows[2], -1), point, mixed, ref])
+    got = _d_pc_batch(ref, cand)
+    assert _bits(got) == _bits([_per_row_d_pc(ref, c) for c in cand])
+    assert got[-1] == 0.0 and got[-3] == SQRT_LN2
+    # 12 displacements: the mean must add them in sequence, not pairwise
+    ref12, cand12 = np.concatenate([ref, rows[1], rows[6]]), np.concatenate([cand] * 3, axis=1)
+    assert _bits(_d_pc_batch(ref12, cand12)) == _bits([_per_row_d_pc(ref12, c) for c in cand12])
+    one = d_pc(fams[0], fams[4]).d_pc
+    assert one == _d_pc_batch(rows[0], rows[4][None])[0]
+
+
+TINY_W = 2.7755575615628914e-16  # the bisection's weight on tex02 at T = 300
+
+
+def _tex02_encoded():
+    from copsem.harness import ExperimentConfig, load_corpus
+    from copsem.rank_copula import non_overlapping_stride
+
+    cfg = ExperimentConfig()
+    img = dict(load_corpus(cfg))["tex02"]
+    est = extract_family(img, cfg.deltas, cfg.bins, stride=non_overlapping_stride(cfg.deltas))
+    return dequantize(quantize(est, 1 / 64))
+
+
+def test_tiny_mix_changes_cells_and_next_float_scores():
+    from copsem.harness import mix_with_uniform
+
+    enc = _tex02_encoded()
+    assert (mix_with_uniform(enc, TINY_W).cells != enc.cells).sum() == 46
+    assert d_pc(enc, mix_with_uniform(enc, math.nextafter(TINY_W, 1.0))).d_pc > 4e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "JS is summed as p*log(p/m) terms whose first-order parts cancel, so a "
+        "JS below about 1e-17 is rounding residue clamped to 0: on tex02 the "
+        "mix at w = 2.7755575615628914e-16 changes 46 cells yet scores 0.0, "
+        "and the next float up scores 4.2e-9; a more accurate formula would "
+        "change the recorded golden CSV bytes"
+    ),
+)
+def test_tiny_mix_scores_above_zero():
+    from copsem.harness import mix_with_uniform
+
+    enc = _tex02_encoded()
+    assert d_pc(enc, mix_with_uniform(enc, TINY_W)).d_pc > 0.0
 
 
 def test_d_pc_incomparable(rng):
