@@ -18,7 +18,7 @@ Run: python3 demos/channel_noise.py
 
 import numpy as np
 
-from copsem.channel import ChannelConfig, transmit
+from copsem.channel import transmit
 from copsem.codec import dequantize, pack, quantize, unpack
 from copsem.harness import ExperimentConfig, fixture_family, run_channel_sweep
 from copsem.metrics import d_pc
@@ -42,7 +42,7 @@ def main():
     print()
 
     r = 1e-2
-    corrupted = transmit(payload, ChannelConfig(r, seed=cfg.seed))
+    corrupted = transmit(payload, r, cfg.seed)
     flips = count_flips(payload, corrupted)
     decoded = dequantize(unpack(corrupted, alpha, q.bins, q.deltas))
     reference = dequantize(q)

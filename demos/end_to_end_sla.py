@@ -21,7 +21,7 @@ Run: python3 demos/end_to_end_sla.py
 import numpy as np
 
 from copsem.bounds import DecoderModel
-from copsem.channel import ChannelConfig, transmit
+from copsem.channel import transmit
 from copsem.codec import dequantize, pack, quantize, unpack
 from copsem.harness import (
     ExperimentConfig, mix_with_uniform, solve_decoder_weight, synthetic_corpus,
@@ -81,7 +81,7 @@ def main():
     print("finally, single channel trips for the transmission slice, against")
     print("the clean decode (one draw each; the channel sweep prices the mean):")
     for r in (1e-3, 1e-2):
-        corrupted = transmit(payload, ChannelConfig(r, seed=cfg.seed))
+        corrupted = transmit(payload, r, cfg.seed)
         rx_fam = dequantize(unpack(corrupted, ALPHA, q.bins, q.deltas))
         d_ch = d_pc(enc_fam, rx_fam).d_pc
         print(f"  r={r}: {count_flips(payload, corrupted)} of "

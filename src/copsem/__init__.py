@@ -22,7 +22,7 @@ from .rank_copula import (
 )
 from .metrics import DistortionReport, d_pc, js_divergence, l1_distance, psnr, ssim, tv_distance
 from .codec import QuantizedFamily, RdPoint, dequantize, pack, quantize, rd_sweep, unpack
-from .channel import ChannelConfig, ChannelExperiment, ber_experiment, transmit
+from .channel import ChannelExperiment, ber_experiment, transmit
 from .bounds import (
     ConcentrationParams,
     DecoderModel,
@@ -31,6 +31,7 @@ from .bounds import (
     enc_distortion_bound,
     est_distortion_from_samples,
     fit_encoder_model,
+    nominal_d,
     r_min,
     rate_achievability,
     rate_converse,

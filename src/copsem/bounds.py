@@ -24,6 +24,24 @@ from .metrics import LN2, SQRT_LN2
 ENC_BOUND_COEFF = SQRT_LN2 / 4.0
 
 
+def _in_range(name: str, value, lo, hi, ends: str = "[]") -> None:
+    """The one range rule: raise ValueError unless value lies between lo and
+    hi, each end closed where ends has "[" or "]" and open where it has "("
+    or ")". NaN lies in no interval."""
+    above = value >= lo if ends[0] == "[" else value > lo
+    below = value <= hi if ends[1] == "]" else value < hi
+    if not (above and below):
+        raise ValueError(f"{name} must be in {ends[0]}{lo!r}, {hi!r}{ends[1]}, got {value!r}")
+
+
+def nominal_d(n_deltas: int, bins: int) -> int:
+    """The nominal encoder exponent |deltas| * (B^2 - 1): the free cells of
+    n_deltas copulas of B x B cells, each summing to 1."""
+    _in_range("n_deltas", n_deltas, 1, math.inf, "[)")
+    _in_range("bins", bins, 2, math.inf, "[)")
+    return n_deltas * (bins * bins - 1)
+
+
 @dataclass(frozen=True)
 class ConcentrationParams:
     """Geometry and targets of the estimation concentration guarantee."""
@@ -34,23 +52,29 @@ class ConcentrationParams:
     eta: float
 
     def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError(f"bins must be >= 2, got {self.bins}")
-        if self.n_deltas < 1:
-            raise ValueError(f"n_deltas must be >= 1, got {self.n_deltas}")
-        if not 0.0 < self.t < math.inf:  # t = inf prescribes n_eff = 0 pairs
-            raise ValueError(f"t must be finite and > 0, got {self.t!r}")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must be in (0, 1), got {self.eta!r}")
+        _in_range("bins", self.bins, 2, math.inf, "[)")
+        _in_range("n_deltas", self.n_deltas, 1, math.inf, "[)")
+        _in_range("t", self.t, 0.0, math.inf, "()")  # t = inf prescribes n_eff = 0 pairs
+        _in_range("eta", self.eta, 0.0, 1.0, "()")
+
+
+def _union_log(params: ConcentrationParams) -> float:
+    """ln(2^(B^2) * |deltas| / eta): the log term of the union bound over
+    every cell subset of every displacement."""
+    b2 = params.bins * params.bins
+    return b2 * LN2 + math.log(params.n_deltas) + math.log(1.0 / params.eta)
 
 
 def sample_complexity(params: ConcentrationParams) -> int:
     """Disjoint pairs sufficient for mean L1 copula error <= t except with
-    probability eta: ceil((2 / t^2) * ln(2^(B^2) * |deltas| / eta))."""
-    b2 = params.bins * params.bins
-    n = (2.0 / (params.t * params.t)) * (
-        b2 * LN2 + math.log(params.n_deltas) + math.log(1.0 / params.eta)
-    )
+    probability eta: ceil((2 / t^2) * ln(2^(B^2) * |deltas| / eta)).
+
+    Raises ValueError when that count is beyond a float: t^2 underflows,
+    or 1 / eta overflows."""
+    t2 = params.t * params.t
+    n = (2.0 / t2) * _union_log(params) if t2 > 0.0 else math.inf
+    if not math.isfinite(n):
+        raise ValueError(f"the pair count for t={params.t!r}, eta={params.eta!r} exceeds a float")
     return int(math.ceil(n))
 
 
@@ -59,45 +83,36 @@ def est_distortion_from_samples(n_eff: int, params: ConcentrationParams) -> floa
     n_eff disjoint pairs buy. The L1 radius t is converted to sqrt-JS by
     the small-perturbation rate (sqrt(ln 2) / 2) * t, a budget convention
     (the conversion is not a pointwise bound for arbitrary pairs)."""
-    if n_eff < 1:
-        raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    b2 = params.bins * params.bins
-    t = math.sqrt(
-        2.0 * (b2 * LN2 + math.log(params.n_deltas) + math.log(1.0 / params.eta)) / n_eff
-    )
+    _in_range("n_eff", n_eff, 1, math.inf, "[)")
+    t = math.sqrt(2.0 * _union_log(params) / n_eff)
     return (SQRT_LN2 / 2.0) * t
 
 
 def rate_achievability(n_deltas: int, bins: int, alpha: float) -> float:
-    """Bits sufficient at step alpha: |deltas| * (B^2 - 1) * log2(1 / alpha)."""
-    if n_deltas < 1 or bins < 2:
-        raise ValueError("need n_deltas >= 1 and bins >= 2")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-    return n_deltas * (bins * bins - 1) * math.log2(1.0 / alpha)
+    """Bits sufficient at step alpha: nominal_d * log2(1 / alpha)."""
+    d = nominal_d(n_deltas, bins)
+    _in_range("alpha", alpha, 0.0, 1.0, "(]")
+    # -log2(alpha), as 1 / alpha overflows for a subnormal alpha; 0.0 - keeps
+    # alpha = 1 at +0.0 bits
+    return d * (0.0 - math.log2(alpha))
 
 
 def enc_distortion_bound(bins: int, alpha: float) -> float:
     """Encoder distortion budget at step alpha: (sqrt(ln 2) / 4) * B^2 * alpha.
 
     A design target, not a worst case (see ENC_BOUND_COEFF)."""
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    _in_range("bins", bins, 2, math.inf, "[)")
+    _in_range("alpha", alpha, 0.0, 1.0, "(]")
     return ENC_BOUND_COEFF * bins * bins * alpha
 
 
 def rate_converse(n_deltas: int, bins: int, eps_enc: float, c: float = 1.0) -> float:
     """Bits necessary for encoder distortion eps_enc:
-    c * |deltas| * (B^2 - 1) * log2(1 / eps_enc), additive slack taken as 0."""
-    if n_deltas < 1 or bins < 2:
-        raise ValueError("need n_deltas >= 1 and bins >= 2")
-    if not 0.0 < eps_enc < 1.0:
-        raise ValueError(f"eps_enc must be in (0, 1), got {eps_enc!r}")
-    if not c > 0.0:
-        raise ValueError(f"c must be > 0, got {c!r}")
-    return c * n_deltas * (bins * bins - 1) * math.log2(1.0 / eps_enc)
+    c * nominal_d * log2(1 / eps_enc), additive slack taken as 0."""
+    d = nominal_d(n_deltas, bins)
+    _in_range("eps_enc", eps_enc, 0.0, 1.0, "()")
+    _in_range("c", c, 0.0, math.inf, "()")
+    return c * d * -math.log2(eps_enc)  # 1 / eps_enc overflows for a subnormal eps_enc
 
 
 @dataclass(frozen=True)
@@ -112,10 +127,8 @@ class SlaBudget:
 
     def __post_init__(self):
         for name in ("eps_est", "eps_enc", "eps_dec", "eta_est", "eta_dec"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.eta_est + self.eta_dec >= 1.0:
-            raise ValueError("eta_est + eta_dec must be < 1")
+            _in_range(name, getattr(self, name), 0.0, math.inf)
+        _in_range("eta_est + eta_dec", self.eta_est + self.eta_dec, 0.0, 1.0, "[)")
 
 
 class SlaResult(NamedTuple):
@@ -140,42 +153,34 @@ class DecoderModel:
     delta0: float
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho!r}")
-        if not self.delta0 > 0.0:
-            raise ValueError(f"delta0 must be > 0, got {self.delta0!r}")
+        _in_range("rho", self.rho, 0.0, 1.0, "()")
+        _in_range("delta0", self.delta0, 0.0, math.inf, "()")
 
     def error(self, t: float) -> float:
-        if not t >= 0.0:
-            raise ValueError(f"compute budget must be >= 0, got {t!r}")
+        _in_range("compute budget", t, 0.0, math.inf)  # T = inf: no decode error left
         return (self.rho**t) * self.delta0
 
 
 @dataclass(frozen=True)
 class EncoderModel:
     """Exponential rate model: error at R bits is c2 * 2^(-R / d),
-    with d = |deltas| * (B^2 - 1) for the nominal geometry."""
+    with d = nominal_d for the nominal geometry."""
 
     c2: float
     d: int
 
     def __post_init__(self):
-        if not self.c2 > 0.0:
-            raise ValueError(f"c2 must be > 0, got {self.c2!r}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        _in_range("c2", self.c2, 0.0, math.inf, "()")
+        _in_range("d", self.d, 1, math.inf, "[)")
 
     def error(self, rate: float) -> float:
-        if not rate >= 0.0:
-            raise ValueError(f"rate must be >= 0, got {rate!r}")
+        _in_range("rate", rate, 0.0, math.inf)  # R = inf: no encode error left
         return self.c2 * 2.0 ** (-rate / self.d)
 
 
 def _headroom(eps: float, eps_est: float, stage_error: float) -> float | None:
-    if math.isnan(eps) or math.isnan(eps_est):
-        raise ValueError(f"eps and eps_est must be numbers, got {eps!r} and {eps_est!r}")
-    if eps <= eps_est:
-        raise ValueError("eps must exceed eps_est")
+    _in_range("eps_est", eps_est, -math.inf, math.inf)
+    _in_range("eps", eps, eps_est, math.inf, "()")
     h = eps - eps_est - stage_error
     if h <= 0.0:
         return None
@@ -224,12 +229,15 @@ def sla_surface(
     + dec.error(T), shaped (len(r_grid), len(t_grid))."""
     if len(r_grid) == 0 or len(t_grid) == 0:
         raise ValueError("empty grid")
-    if eps_est < 0.0:
-        raise ValueError(f"eps_est must be >= 0, got {eps_est!r}")
+    _in_range("eps_est", eps_est, 0.0, math.inf)
     rs = np.asarray(r_grid, dtype=np.float64)
     ts = np.asarray(t_grid, dtype=np.float64)
-    if rs.min() < 0.0 or ts.min() < 0.0:
-        raise ValueError("grids must be nonnegative")
+    _in_range("rate grid", float(rs.min()), 0.0, math.inf)  # min is NaN if any entry is
+    _in_range("compute grid", float(ts.min()), 0.0, math.inf)
+    # The model formulas again, on arrays: numpy's array ** differs from
+    # Python's float ** in the last bit on about 5 % of inputs, 0.9 ** 40
+    # among them, so one shared formula would move sla_pipeline.csv (its
+    # T = 40 decoder target) or sla_surface.csv.
     enc_err = enc.c2 * 2.0 ** (-rs / enc.d)
     dec_err = (dec.rho**ts) * dec.delta0
     return eps_est + enc_err[:, None] + dec_err[None, :]
@@ -257,8 +265,7 @@ def fit_encoder_model(
             raise ValueError("distortion does not decay with rate; no valid fit")
         d_eff = -1.0 / slope
     else:
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
+        _in_range("d", d, 1, math.inf, "[)")
         slope = -1.0 / d
         intercept = float(np.mean(y - slope * r))
         d_eff = float(d)

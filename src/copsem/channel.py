@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _in_range
 from .codec import QuantizedFamily, _dequantize_rows, _unpack_rows, dequantize, pack
 from .metrics import _d_pc_batch
 from .rank_copula import _check_masses
@@ -15,26 +17,15 @@ from .rank_copula import _check_masses
 TRIAL_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Per-bit flip probability and the RNG seed that fixes the flip mask."""
-
-    ber: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.ber <= 0.5:
-            raise ValueError(f"ber must be in [0, 0.5], got {self.ber!r}")
-
-
-def transmit(data: bytes, cfg: ChannelConfig) -> bytes:
-    """Flip each bit independently with probability cfg.ber. Length-preserving,
-    deterministic for a fixed seed."""
-    if cfg.ber == 0.0 or not data:
+def transmit(data: bytes, ber: float, seed: int) -> bytes:
+    """Flip each bit independently with probability ber. Length-preserving;
+    the seed fixes the flip mask."""
+    _in_range("ber", ber, 0.0, 0.5)
+    if ber == 0.0 or not data:
         return bytes(data)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    rng = np.random.default_rng(cfg.seed)
-    mask = rng.random(bits.size) < cfg.ber
+    rng = np.random.default_rng(seed)
+    mask = rng.random(bits.size) < ber
     return np.packbits(bits ^ mask).tobytes()
 
 
@@ -72,15 +63,14 @@ def ber_experiment(
     assumed. Each trial is its own transmit call; a block of TRIAL_BLOCK
     corrupted streams is unpacked, dequantized, checked and scored at once.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _in_range("trials", trials, 1, math.inf, "[)")
     n = len(q.deltas)
     reference = dequantize(q).cells.reshape(n, -1)
     payload = pack(q)
     out = []
     for start in range(0, trials, TRIAL_BLOCK):
         streams = [
-            transmit(payload, ChannelConfig(ber, trial_seed(master_seed, t)))
+            transmit(payload, ber, trial_seed(master_seed, t))
             for t in range(start, min(start + TRIAL_BLOCK, trials))
         ]
         indices = _unpack_rows(streams, q.alpha, q.indices.size)

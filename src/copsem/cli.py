@@ -10,13 +10,12 @@ import sys
 from dataclasses import fields, replace
 
 from . import bounds as bounds_mod
-from .bounds import ConcentrationParams, DecoderModel, EncoderModel
+from .bounds import ConcentrationParams, DecoderModel, EncoderModel, nominal_d
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
     Table,
     _cell,
-    _nominal_d,
     _write_table,
     run_axiom_table,
     run_channel_sweep,
@@ -96,7 +95,7 @@ def _encoder(args, cfg: ExperimentConfig, default_c2: float | None = None) -> En
         if args.d is not None:
             raise ValueError("--d needs --c2")
         return None
-    return EncoderModel(c2, _nominal_d(cfg) if args.d is None else args.d)
+    return EncoderModel(c2, nominal_d(len(cfg.deltas), cfg.bins) if args.d is None else args.d)
 
 
 def _load_family(path: str, cfg: ExperimentConfig):

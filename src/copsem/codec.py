@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import enc_distortion_bound, rate_achievability
+from .bounds import _in_range, enc_distortion_bound, rate_achievability
 from .metrics import d_pc
 from .rank_copula import CopulaFamily, Displacement
 
@@ -22,8 +22,7 @@ from .rank_copula import CopulaFamily, Displacement
 def levels_for_alpha(alpha: float) -> int:
     """Below 2**-62 the indices, the level count or the bit shifts of a cell
     no longer fit int64."""
-    if not 2.0**-62 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [2**-62, 1], got {alpha!r}")
+    _in_range("alpha", alpha, 2.0**-62, 1.0)
     return int(math.floor(1.0 / alpha)) + 1
 
 

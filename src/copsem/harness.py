@@ -22,14 +22,16 @@ from .bounds import (
     ConcentrationParams,
     DecoderModel,
     EncoderModel,
+    _in_range,
     fit_encoder_model,
+    nominal_d,
     r_min,
     sample_complexity,
     t_min,
     sla_surface,
 )
 from .channel import ber_experiment, trial_seed
-from .codec import dequantize, quantize, rd_sweep
+from .codec import RdPoint, dequantize, quantize, rd_sweep
 from .image_io import U8, GrayImage, read_pgm
 from .metrics import _d_pc_batch, d_pc, format_float, psnr, ssim
 from .rank_copula import (
@@ -317,6 +319,15 @@ def run_axiom_table(cfg: ExperimentConfig, out_dir: str | None = None) -> Experi
 # rate-distortion
 
 
+def _fit_interior(points: list[RdPoint], d: int | None = None) -> tuple[float, float, float]:
+    """fit_encoder_model over the (rate_theory_bits, distortion) of an
+    alpha-descending sweep, dropping its two end points when it has more
+    than two: (c2, d_eff, r_squared)."""
+    interior = points[1:-1] if len(points) > 2 else points
+    rates = [p.rate_theory_bits for p in interior]
+    return fit_encoder_model(rates, [p.distortion for p in interior], d=d)
+
+
 def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     """Quantizer sweep per image plus a log-linear fit over the interior alphas.
 
@@ -356,12 +367,8 @@ def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> Experimen
                 )
             excess = pt.rate_empirical_bits - pt.rate_theory_bits
             rate_excess.append((excess, pt.rate_empirical_bits <= pt.rate_theory_bits + n * b2))
-        interior = points[1:-1] if len(points) > 2 else points
         try:
-            c2, d_eff, r2 = fit_encoder_model(
-                [p.rate_theory_bits for p in interior],
-                [p.distortion for p in interior],
-            )
+            c2, d_eff, r2 = _fit_interior(points)
             fit_rows.append([name, c2, d_eff, r2])
         except ValueError as exc:
             fit_rows.append([name, None, None, None])
@@ -412,8 +419,8 @@ def run_concentration(
     """Validate the sample-size formula: at the prescribed n_eff the failure
     fraction stays within eta (check nominal_failure_fraction); at control_n
     it does not (check control_failure_fraction)."""
-    if trials < 1 or control_n < 1:
-        raise ValueError(f"trials and control_n must be >= 1, got {trials} and {control_n}")
+    _in_range("trials", trials, 1, math.inf, "[)")
+    _in_range("control_n", control_n, 1, math.inf, "[)")
     n_eff = sample_complexity(params)
     t, eta = float(params.t), float(params.eta)
     header = "arm bins n_deltas t eta n_eff trials failures failure_fraction mean_l1".split()
@@ -516,8 +523,7 @@ def _mix_cells(cells: np.ndarray, w: float, b2: int) -> np.ndarray:
 
 def mix_with_uniform(family: CopulaFamily, w: float) -> CopulaFamily:
     """(1 - w) * family + w * uniform, per copula."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0, 1], got {w!r}")
+    _in_range("w", w, 0.0, 1.0)
     cells = _mix_cells(family.cells, w, family.bins * family.bins)
     return CopulaFamily(family.deltas, cells, (0,) * len(family.deltas), stride=0)
 
@@ -531,8 +537,7 @@ def solve_decoder_weight(family: CopulaFamily, target: float) -> float:
     Each step scores the mixed cells of mix_with_uniform with the array
     kernel of d_pc, building no family: a mix of two distributions needs
     no mass check."""
-    if math.isnan(target):
-        raise ValueError("decoder target must be a number, got nan")
+    _in_range("decoder target", target, -math.inf, math.inf)
     if target <= 0.0:
         return 0.0
     cells = family.cells.reshape(len(family.deltas), -1)
@@ -604,23 +609,11 @@ def run_sla_pipeline(
 # SLA design surface
 
 
-def _nominal_d(cfg: ExperimentConfig) -> int:
-    """The encoder exponent d = |deltas| * (B^2 - 1)."""
-    return len(cfg.deltas) * (cfg.bins * cfg.bins - 1)
-
-
 def fit_encoder_from_fixture(cfg: ExperimentConfig) -> EncoderModel:
     """Fit c2 on the fixture's measured R-D points at the nominal exponent d."""
-    fam = fixture_family(cfg)
-    points = rd_sweep(fam, cfg.alphas)
-    interior = points[1:-1] if len(points) > 2 else points
-    d_nominal = _nominal_d(cfg)
-    c2, _, _ = fit_encoder_model(
-        [p.rate_theory_bits for p in interior],
-        [p.distortion for p in interior],
-        d=d_nominal,
-    )
-    return EncoderModel(c2, d_nominal)
+    d = nominal_d(len(cfg.deltas), cfg.bins)
+    c2, _, _ = _fit_interior(rd_sweep(fixture_family(cfg), cfg.alphas), d)
+    return EncoderModel(c2, d)
 
 
 def run_sla_surface(

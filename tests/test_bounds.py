@@ -11,6 +11,7 @@ from copsem.bounds import (
     enc_distortion_bound,
     est_distortion_from_samples,
     fit_encoder_model,
+    nominal_d,
     r_min,
     rate_achievability,
     rate_converse,
@@ -131,6 +132,18 @@ def test_nan_inputs_raise_instead_of_reading_as_met():
     ):
         with pytest.raises(ValueError):
             call()
+    # inf lies outside every interval that is open at its upper end
+    inf = math.inf
+    for call in (
+        lambda: ConcentrationParams(4, 2, inf, 0.05),
+        lambda: DecoderModel(0.9, inf),
+        lambda: EncoderModel(inf, 252),
+        lambda: rate_converse(4, 8, 0.5, c=inf),
+        lambda: r_min(20.0, eps=inf, eps_est=0.01, dec=DEC, enc=ENC_REF),
+        lambda: t_min(731.0, eps=inf, eps_est=0.01, dec=DEC, enc=ENC_REF),
+    ):
+        with pytest.raises(ValueError):
+            call()
     assert DEC.error(math.inf) == 0.0 and ENC_REF.error(math.inf) == 0.0
 
 
@@ -197,3 +210,18 @@ def test_fit_rejects_degenerate_input():
         fit_encoder_model([100.0], [0.5])
     with pytest.raises(ValueError):
         fit_encoder_model([100.0, 200.0], [0.0, 0.1])
+
+
+def test_rates_finite_at_subnormal_steps():
+    # 1 / x overflows to inf for these x; log2(1 / x) = -log2(x) does not
+    tiny = 5e-324  # 2**-1074
+    assert rate_achievability(4, 8, tiny) == 252 * 1074.0
+    assert rate_converse(4, 8, tiny) == 252 * 1074.0
+    assert math.copysign(1.0, rate_achievability(4, 8, 1.0)) == 1.0  # +0.0 bits, not -0.0
+
+
+def test_range_errors_name_the_interval():
+    with pytest.raises(ValueError, match=r"^c2 must be in \(0\.0, inf\), got inf$"):
+        EncoderModel(math.inf, 252)
+    with pytest.raises(ValueError, match=r"^bins must be in \[2, inf\), got 1$"):
+        nominal_d(4, 1)

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from copsem.channel import (
     TRIAL_BLOCK,
-    ChannelConfig,
     ber_experiment,
     transmit,
     trial_seed,
@@ -16,34 +15,32 @@ from conftest import make_family
 
 
 def test_ber_range_validated():
-    with pytest.raises(ValueError):
-        ChannelConfig(0.6, 1)
-    with pytest.raises(ValueError):
-        ChannelConfig(-0.1, 1)
+    for ber in (0.6, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            transmit(b"\x00", ber, 1)
 
 
 def test_zero_ber_is_identity(rng):
     data = rng.integers(0, 256, 200, dtype=np.uint8).tobytes()
-    assert transmit(data, ChannelConfig(0.0, 99)) == data
+    assert transmit(data, 0.0, 99) == data
 
 
 def test_half_ber_flip_fraction():
     data = bytes(125_000)  # 10^6 zero bits
-    out = transmit(data, ChannelConfig(0.5, 2024))
+    out = transmit(data, 0.5, 2024)
     flipped = int(np.unpackbits(np.frombuffer(out, dtype=np.uint8)).sum())
     assert abs(flipped / 1e6 - 0.5) < 0.002
 
 
 def test_transmit_deterministic(rng):
     data = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
-    cfg = ChannelConfig(0.1, 31337)
-    assert transmit(data, cfg) == transmit(data, cfg)
-    assert transmit(data, ChannelConfig(0.1, 31338)) != transmit(data, cfg)
+    assert transmit(data, 0.1, 31337) == transmit(data, 0.1, 31337)
+    assert transmit(data, 0.1, 31338) != transmit(data, 0.1, 31337)
 
 
 @given(st.binary(min_size=0, max_size=300), st.sampled_from([0.0, 0.01, 0.3, 0.5]))
 def test_transmit_preserves_length(data, ber):
-    assert len(transmit(data, ChannelConfig(ber, 5))) == len(data)
+    assert len(transmit(data, ber, 5)) == len(data)
 
 
 def test_trial_seeds_distinct():
@@ -86,7 +83,7 @@ def test_mean_grows_with_ber(rng):
 def test_corrupted_roundtrip_still_decodes(rng):
     fam = make_family(rng)
     q = quantize(fam, 1 / 64)
-    noisy = transmit(pack(q), ChannelConfig(0.05, 4))
+    noisy = transmit(pack(q), 0.05, 4)
     back = unpack(noisy, 1 / 64, 8, fam.deltas)
     assert int(back.indices.max()) < q.levels
 
@@ -98,7 +95,7 @@ def _trial_by_trial(q, ber, trials, master_seed):
     payload = pack(q)
     out = []
     for t in range(trials):
-        corrupted = transmit(payload, ChannelConfig(ber, trial_seed(master_seed, t)))
+        corrupted = transmit(payload, ber, trial_seed(master_seed, t))
         out.append(d_pc(reference, dequantize(unpack(corrupted, q.alpha, q.bins, q.deltas))).d_pc)
     return tuple(out)
 

@@ -102,6 +102,21 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
         ["channel", "--out", str(tmp_path / "out"), "--alpha", "1e-300"],  # an OverflowError
         ["rd", "--out", str(tmp_path / "out"), "--alphas", "1e-300"],  # used to overflow int64
         ["sla-surface", "--out", str(tmp_path / "out"), "--d", "100"],  # --d without --c2
+        # an infinite constant at an open end used to pass: --c2 inf made
+        # sla-surface print a RuntimeWarning and fail a check, and bounds
+        # print an infinite or zero bound
+        ["sla-surface", "--out", str(tmp_path / "out"), "--c2", "inf"],
+        ["bounds", "--c2", "inf"],
+        ["bounds", "--delta0", "inf"],
+        ["bounds", "--c", "inf"],
+        ["bounds", "--eps", "inf"],
+        ["sla-pipeline", "--out", str(tmp_path / "out"), "--delta0", "inf"],
+        # each of these four used to end in a ZeroDivisionError or an
+        # OverflowError traceback: t^2 underflows, or 1 / eta overflows
+        ["bounds", "--t", "1e-300"],
+        ["bounds", "--t", "1e-160"],
+        ["bounds", "--eta", "1e-320"],
+        ["concentration", "--out", str(tmp_path / "out"), "--t", "1e-160"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
