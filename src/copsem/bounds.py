@@ -179,7 +179,7 @@ class EncoderModel:
 
 
 def _headroom(eps: float, eps_est: float, stage_error: float) -> float | None:
-    _in_range("eps_est", eps_est, -math.inf, math.inf)
+    _in_range("eps_est", eps_est, 0.0, math.inf)
     _in_range("eps", eps, eps_est, math.inf, "()")
     h = eps - eps_est - stage_error
     if h <= 0.0:

@@ -39,6 +39,7 @@ from .rank_copula import (
     DEFAULT_DELTAS,
     CopulaFamily,
     Displacement,
+    _check_masses,
     extract_family,
     non_overlapping_stride,
 )
@@ -47,6 +48,9 @@ from .transforms import apply_transform, default_bank, gaussian_blur_array, mono
 DEFAULT_ALPHAS = (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)
 DEFAULT_BERS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 DEFAULT_SEED = 20260819
+# (image, T) problems bisected together in _solve_weights. The block bounds
+# the kernel's working set: its arrays are (2, block, |deltas|, B^2).
+WEIGHT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,9 @@ def _texture(seed: int, k: int, size: int, sigma: float, fine_noise: float) -> G
     tex = gaussian_blur_array(base, kernel, sigma)
     if fine_noise:
         tex = tex + fine_noise * rng.normal(0.0, 1.0, (size, size))
-    order = np.argsort(np.argsort(tex.ravel(), kind="stable"))  # ordinal ranks, 0-based
+    idx = np.argsort(tex.ravel(), kind="stable")
+    order = np.empty_like(idx)  # ordinal ranks, 0-based: the inverse permutation of idx
+    order[idx] = np.arange(idx.size)
     px = np.floor(order * 171.0 / tex.size).astype(np.uint8).reshape(size, size)
     return GrayImage(size, size, px)
 
@@ -529,32 +535,49 @@ def mix_with_uniform(family: CopulaFamily, w: float) -> CopulaFamily:
 
 
 def solve_decoder_weight(family: CopulaFamily, target: float) -> float:
-    """Bisect the mixing weight whose measured distortion hits target
-    (capped at the distance to the uniform family). The bracket keeps
-    d(lo) < target <= d(hi) and shrinks until no float lies strictly
-    between lo and hi; the returned midpoint is then one of the two.
+    """The mixing weight whose measured distortion hits target (capped at
+    the distance to the uniform family): the one-problem case of
+    _solve_weights."""
+    cells = family.cells.reshape(1, len(family.deltas), -1)
+    return float(_solve_weights(cells, [target])[0])
 
-    Each step scores the mixed cells of mix_with_uniform with the array
-    kernel of d_pc, building no family: a mix of two distributions needs
-    no mass check."""
-    _in_range("decoder target", target, -math.inf, math.inf)
-    if target <= 0.0:
-        return 0.0
-    cells = family.cells.reshape(len(family.deltas), -1)
-    b2 = family.bins * family.bins
 
-    def distance(w: float) -> float:
-        return _d_pc_batch(cells, _mix_cells(cells, w, b2)[None])[0]
+def _solve_weights(cells: np.ndarray, targets: np.ndarray | list[float]) -> np.ndarray:
+    """For each problem p, the mixing weight w whose distortion
+    d_pc(cells[p], (1 - w) * cells[p] + w * uniform) hits targets[p], for
+    (P, D, n) cells and (P,) targets.
 
-    if distance(1.0) <= target:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if distance(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    A target <= 0 gives 0.0, and 1.0 is returned when the uniform family is
+    within target. Otherwise a bracket keeps d(lo) < target <= d(hi) and
+    shrinks until no float lies strictly between lo and hi; the returned
+    midpoint is then one of the two. The problems are bisected in lockstep,
+    WEIGHT_BLOCK at a time: each step scores the midpoints of the problems
+    still open in one kernel call, and each problem visits exactly the
+    midpoints of its own bisection. A mix of two distributions needs no
+    mass check. A NaN target raises ValueError."""
+    targets = np.asarray(targets, dtype=np.float64)
+    _in_range("decoder target", float(targets.min(initial=math.inf)), -math.inf, math.inf)
+    b2 = cells.shape[-1]
+    out = np.zeros(len(targets))
+    for start in range(0, len(targets), WEIGHT_BLOCK):
+        idx = np.arange(start, min(start + WEIGHT_BLOCK, len(targets)))
+        idx = idx[targets[idx] > 0.0]
+        ref = cells[idx]
+        capped = _d_pc_batch(ref, _mix_cells(ref, 1.0, b2)) <= targets[idx]
+        out[idx[capped]] = 1.0
+        idx = idx[~capped]
+        lo, hi = np.zeros(len(idx)), np.ones(len(idx))
+        while True:
+            mid = 0.5 * (lo + hi)
+            done = ~((lo < mid) & (mid < hi))
+            out[idx[done]] = mid[done]
+            idx, lo, hi, mid = idx[~done], lo[~done], hi[~done], mid[~done]
+            if not len(idx):
+                break
+            ref = cells[idx]
+            below = _d_pc_batch(ref, _mix_cells(ref, mid[:, None, None], b2)) < targets[idx]
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return out
 
 
 def run_sla_pipeline(
@@ -569,26 +592,37 @@ def run_sla_pipeline(
     error tracks rho^T * delta0). Asserts the additive composition of the
     three measured stage distortions (check composition, observed as
     d_total - bound) and that decode error does not grow with compute
-    budget (check decode_non_increasing, observed as the largest rise)."""
+    budget (check decode_non_increasing, observed as the largest rise).
+
+    A first pass extracts and encodes every image; one lockstep solve then
+    finds the decoder weight of every (image, T); a second pass scores each
+    image's decodes for all T at once."""
     images = load_corpus(cfg)
     alpha, t_grid = float(alpha), tuple(float(t) for t in t_grid)
+    if not t_grid:
+        raise ValueError("empty compute grid")
     sub = non_overlapping_stride(cfg.deltas)
-    header = "image stride alpha T w d_est d_enc d_dec d_total bound holds".split()
-    rows = []
-    excess, rises = [], []
+    n, b2 = len(cfg.deltas), cfg.bins * cfg.bins
+    stages = []
     for name, img in images:
         truth = extract_family(img, cfg.deltas, cfg.bins, stride=1)
         est = extract_family(img, cfg.deltas, cfg.bins, stride=sub)
-        d_est = d_pc(truth, est).d_pc
         enc_fam = dequantize(quantize(est, alpha))
-        d_enc = d_pc(est, enc_fam).d_pc
+        d_est, d_enc = d_pc(truth, est).d_pc, d_pc(est, enc_fam).d_pc
+        truth_cells, enc_cells = truth.cells.reshape(n, b2), enc_fam.cells.reshape(n, b2)
+        stages.append((name, truth_cells, enc_cells, d_est, d_enc))
+    problems = np.repeat([enc_cells for _, _, enc_cells, _, _ in stages], len(t_grid), axis=0)
+    targets = [dec.error(t) for t in t_grid]
+    weights = _solve_weights(problems, targets * len(stages)).reshape(len(stages), len(t_grid))
+    header = "image stride alpha T w d_est d_enc d_dec d_total bound holds".split()
+    rows = []
+    excess, rises = [], []
+    for (name, truth, enc, d_est, d_enc), ws in zip(stages, weights):
+        mixed = _mix_cells(enc, ws[:, None, None], b2)
+        _check_masses(mixed.reshape(-1, b2), "cell masses")
+        d_decs, d_totals = _d_pc_batch(enc, mixed).tolist(), _d_pc_batch(truth, mixed).tolist()
         prev_dec = None
-        for t_budget in t_grid:
-            target = dec.error(t_budget)
-            w = solve_decoder_weight(enc_fam, target)
-            out_fam = mix_with_uniform(enc_fam, w)
-            d_dec = d_pc(enc_fam, out_fam).d_pc
-            d_total = d_pc(truth, out_fam).d_pc
+        for t_budget, w, d_dec, d_total in zip(t_grid, ws.tolist(), d_decs, d_totals):
             bound = d_est + d_enc + d_dec
             holds = d_total <= bound + 1e-12
             excess.append((d_total - bound, holds))

@@ -71,7 +71,8 @@ def _row_sums(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def _js_batch(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """JS divergence of each row of a (D, n) reference against the matching
-    row of each of C candidates (C, D, n), as a (C, D) array.
+    row of each of C candidates (C, D, n), as a (C, D) array. A (C, D, n)
+    reference gives each candidate its own reference.
 
     The terms are computed on the whole layout and masked afterwards; each
     row then sums over its own support, as the 1-D case does."""
@@ -97,8 +98,9 @@ def _mean_sqrt(js: np.ndarray) -> np.ndarray:
 
 def _d_pc_batch(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """d_pc of a (D, n) reference against each of C candidates (C, D, n), as a
-    (C,) array equal to the one-candidate d_pc bit for bit. The caller
-    vouches that every row is a distribution."""
+    (C,) array equal to the one-candidate d_pc bit for bit; a (C, D, n)
+    reference pairs candidate c with reference c. The caller vouches that
+    every row is a distribution."""
     return _mean_sqrt(_js_batch(ref, cand))
 
 

@@ -220,6 +220,15 @@ def test_rates_finite_at_subnormal_steps():
     assert math.copysign(1.0, rate_achievability(4, 8, 1.0)) == 1.0  # +0.0 bits, not -0.0
 
 
+def test_negative_estimation_budget_is_rejected():
+    # used to read as room to spare: r_min and t_min returned 0.0
+    msg = r"^eps_est must be in \[0\.0, inf\], got -0\.5$"
+    with pytest.raises(ValueError, match=msg):
+        r_min(20.0, eps=0.05, eps_est=-0.5, dec=DEC, enc=ENC_REF)
+    with pytest.raises(ValueError, match=msg):
+        t_min(731.0, eps=0.05, eps_est=-0.5, dec=DEC, enc=ENC_REF)
+
+
 def test_range_errors_name_the_interval():
     with pytest.raises(ValueError, match=r"^c2 must be in \(0\.0, inf\), got inf$"):
         EncoderModel(math.inf, 252)

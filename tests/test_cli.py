@@ -337,6 +337,15 @@ def test_sla_surface_c2_alone_uses_the_nominal_d(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("enc_c2=0.5 enc_d=60 ")
 
 
+@pytest.mark.parametrize("command", [["bounds"], ["sla-surface", "--out", "unused"]])
+def test_negative_estimation_budget_exits_two(command, capsys):
+    # bounds used to exit 0 printing r_min_bits=0.0 and t_min=0.0
+    assert main([*command, "--eps-est", "-0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "copsem: eps_est must be in [0.0, inf], got -0.5\n"
+
+
 def test_bounds_prints_name_value_lines(capsys):
     rc = main(["bounds"])
     assert rc == 0

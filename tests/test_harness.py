@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copsem.bounds import ConcentrationParams, DecoderModel, EncoderModel
+from copsem import harness
 from copsem.harness import (
     DEFAULT_ALPHAS,
+    WEIGHT_BLOCK,
     ExperimentConfig,
     _cell,
+    _solve_weights,
     fixture_family,
     fixture_image,
     load_corpus,
@@ -28,6 +31,7 @@ from copsem.codec import dequantize, quantize
 from copsem.image_io import write_pgm
 from copsem.metrics import d_pc
 from copsem.rank_copula import extract_family, non_overlapping_stride
+from copsem.transforms import gaussian_blur_array
 
 
 def read_lines(path):
@@ -153,6 +157,27 @@ def test_load_corpus_from_files(tmp_path):
     assert all(a == b for (_, a), (_, b) in zip(loaded, images))
 
 
+def _double_argsort_pixels(seed, k, size, sigma, fine_noise):
+    """The texture as it was first written: ordinal ranks by argsort of the
+    stable argsort, where the outer sort only inverts a permutation."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 11, k)))
+    base = rng.normal(0.0, 1.0, (size, size))
+    tex = gaussian_blur_array(base, 2 * int(math.ceil(3.0 * sigma)) + 1, sigma)
+    if fine_noise:
+        tex = tex + fine_noise * rng.normal(0.0, 1.0, (size, size))
+    order = np.argsort(np.argsort(tex.ravel(), kind="stable"))
+    return np.floor(order * 171.0 / tex.size).astype(np.uint8).reshape(size, size)
+
+
+def test_texture_ranks_match_the_double_argsort():
+    cfg = ExperimentConfig()
+    for k, (_, img) in enumerate(synthetic_corpus(seed=cfg.seed)):
+        ref = _double_argsort_pixels(cfg.seed, k, 96, 0.6 + 0.45 * (k % 5), 0.25)
+        assert np.array_equal(img.pixels, ref)
+    ref = _double_argsort_pixels(cfg.seed, 0, 256, 1.5, 0.0)
+    assert np.array_equal(fixture_image(cfg).pixels, ref)
+
+
 def test_fixture_image_stable():
     cfg = ExperimentConfig()
     img = fixture_image(cfg)
@@ -268,13 +293,34 @@ def test_channel_top_pinned_constant_underestimates_small_r():
     assert abs(top_ratio - 1.0) < 1e-9
 
 
-def test_sla_pipeline_composition(tmp_path):
+def test_sla_pipeline_composition(tmp_path, monkeypatch):
+    # counts the kernel calls: 100 lockstep problems take one call per step
+    # of the longest bisection (53-67 steps), not one per step of each
+    calls = {"solve": 0, "all": 0}
+    kernel, solve = harness._d_pc_batch, harness._solve_weights
+
+    def counting_kernel(ref, cand):
+        calls["all"] += 1
+        return kernel(ref, cand)
+
+    def counting_solve(cells, targets):
+        before = calls["all"]
+        out = solve(cells, targets)
+        calls["solve"] += calls["all"] - before
+        return out
+
+    monkeypatch.setattr(harness, "_d_pc_batch", counting_kernel)
+    monkeypatch.setattr(harness, "_solve_weights", counting_solve)
     cfg = ExperimentConfig()
     result = run_sla_pipeline(cfg, out_dir=str(tmp_path))
     assert check_names(result) == {"composition", "decode_non_increasing"}
     (table,) = result.tables
     assert all(row[-1] == "true" for row in table.rows)
     assert read_lines(table.path)[0] == b"#schema=copsem.sla_pipeline.v1"
+    assert calls["solve"] <= 80
+    assert calls["all"] - calls["solve"] == 2 * 20  # d_dec and d_total, once per image
+    with pytest.raises(ValueError, match="empty compute grid"):
+        run_sla_pipeline(cfg, t_grid=())
 
 
 def test_sla_surface_roundtrip(tmp_path):
@@ -331,26 +377,56 @@ def _stepwise_decoder_weight(family, target):
     return mid
 
 
+def _encoded_corpus(cfg):
+    """Every corpus image as run_sla_pipeline encodes it."""
+    sub = non_overlapping_stride(cfg.deltas)
+    return [
+        dequantize(quantize(extract_family(img, cfg.deltas, cfg.bins, stride=sub), 1 / 64))
+        for _, img in load_corpus(cfg)
+    ]
+
+
+def _lockstep_matches_stepwise(encs, targets):
+    problems = [(enc, target) for enc in encs for target in targets]
+    cells = np.stack([enc.cells.reshape(len(enc.deltas), -1) for enc, _ in problems])
+    got = _solve_weights(cells, np.array([target for _, target in problems]))
+    assert got.tolist() == [_stepwise_decoder_weight(enc, target) for enc, target in problems]
+    return len(problems)
+
+
 def test_decoder_weight_matches_the_stepwise_bisection():
-    # every corpus image as run_sla_pipeline encodes it, at the default T
-    # grid and at T = 300, where the target is near 1e-15
+    # every corpus image at the default T grid and at T = 300, where the
+    # target is near 1e-15, plus three targets that need no bisection: 180
+    # problems in one lockstep call, more than one block
     cfg = ExperimentConfig()
     dec = DecoderModel(0.9, 0.1)
-    sub = non_overlapping_stride(cfg.deltas)
-    images = load_corpus(cfg)
-    assert len(images) == 20
-    for _, img in images:
-        est = extract_family(img, cfg.deltas, cfg.bins, stride=sub)
-        enc = dequantize(quantize(est, 1 / 64))
-        for t in (0.0, 5.0, 10.0, 20.0, 40.0, 300.0):
-            target = dec.error(t)
-            assert solve_decoder_weight(enc, target) == _stepwise_decoder_weight(enc, target)
+    encs = _encoded_corpus(cfg)
+    assert len(encs) == 20
+    targets = [dec.error(t) for t in (0.0, 5.0, 10.0, 20.0, 40.0, 300.0)] + [0.0, -1.0, 10.0]
+    assert _lockstep_matches_stepwise(encs, targets) > WEIGHT_BLOCK
+    tex02_t300 = encs[2], targets[5]
+    assert solve_decoder_weight(*tex02_t300) == _stepwise_decoder_weight(*tex02_t300)
+
+
+def test_decoder_weight_matches_the_stepwise_bisection_at_256_cells():
+    # the mixed rows have all 256 cells in their support, so _row_sums takes
+    # its split path for rows of more than 128 terms
+    cfg = ExperimentConfig(bins=16)
+    dec = DecoderModel(0.9, 0.1)
+    encs = _encoded_corpus(cfg)[:3]
+    _lockstep_matches_stepwise(encs, [dec.error(t) for t in (0.0, 20.0, 300.0)])
 
 
 def test_decoder_weight_rejects_a_nan_target():
     fam = fixture_family(ExperimentConfig(bins=4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^decoder target must be in"):
         solve_decoder_weight(fam, math.nan)
+    cells = np.repeat(fam.cells.reshape(1, len(fam.deltas), -1), 3, axis=0)
+    for k in range(3):
+        targets = np.full(3, 0.05)
+        targets[k] = math.nan
+        with pytest.raises(ValueError, match="^decoder target must be in"):
+            _solve_weights(cells, targets)
 
 
 def test_csv_determinism(tmp_path):

@@ -236,6 +236,18 @@ def test_batched_d_pc_matches_per_row_reference(bins):
     assert one == _d_pc_batch(rows[0], rows[4][None])[0]
 
 
+@pytest.mark.parametrize("bins", [3, 8, 16])
+def test_batched_d_pc_takes_one_reference_per_candidate(bins):
+    # a (C, D, n) reference scores candidate c against reference c alone
+    rng = np.random.default_rng(100 + bins)
+    fams = [make_family(rng, bins=bins, conc=c) for c in (0.05, 0.3, 1.0, 5.0)]
+    fams += [dequantize(quantize(f, 1 / 16)) for f in fams]  # zero cells on both sides
+    pairs = [(a, b) for a in fams for b in fams]
+    ref = np.stack([a.cells.reshape(4, -1) for a, _ in pairs])
+    cand = np.stack([b.cells.reshape(4, -1) for _, b in pairs])
+    assert _bits(_d_pc_batch(ref, cand)) == _bits([d_pc(a, b).d_pc for a, b in pairs])
+
+
 TINY_W = 2.7755575615628914e-16  # the bisection's weight on tex02 at T = 300
 
 
