@@ -12,6 +12,15 @@ from dataclasses import fields, replace
 from . import bounds as bounds_mod
 from .bounds import ConcentrationParams, DecoderModel, EncoderModel, nominal_d
 from .harness import (
+    DEFAULT_ALPHA,
+    DEFAULT_CONCENTRATION,
+    DEFAULT_CONTROL_N,
+    DEFAULT_CTRIALS,
+    DEFAULT_DECODER,
+    DEFAULT_EPS,
+    DEFAULT_EPS_EST,
+    DEFAULT_T_GRID,
+    OPERATING_T,
     ExperimentConfig,
     ExperimentResult,
     Table,
@@ -40,7 +49,8 @@ def _parse_delta(text: str) -> Displacement:
 # Every argument, defined once: name -> (flag, add_argument keywords). A
 # flag's value lands under its name, and the names of ExperimentConfig
 # fields (bins, deltas, stride, seed, out_dir, corpus, trials, bers, alphas)
-# override that field of the config. Unset flags default to None.
+# override that field of the config. Unset flags default to None or to a harness default.
+_CON, _DEC = DEFAULT_CONCENTRATION, DEFAULT_DECODER
 _ARGS = {
     "config": ("--config", dict(help="JSON or key=value experiment config file")),
     "bins": ("--bins", dict(type=int, help="bins per copula axis, B")),
@@ -52,21 +62,27 @@ _ARGS = {
     "trials": ("--trials", dict(type=int, help="channel trials per bit-error rate")),
     "alphas": ("--alphas", dict(type=float, nargs="*", help="quantizer steps")),
     "bers": ("--ber", dict(type=float, action="append", help="bit-error rate; repeatable")),
-    "alpha": ("--alpha", dict(type=float, default=1 / 64, help="quantizer step")),
-    "t": ("--t", dict(type=float, default=0.1, help="estimation radius, mean L1")),
-    "eta": ("--eta", dict(type=float, default=0.05, help="estimation failure probability")),
-    "cbins": ("--cbins", dict(type=int, default=4, help="bins, concentration setup")),
-    "cdeltas": ("--cdeltas", dict(type=int, default=2, help="displacements, concentration setup")),
-    "ctrials": ("--ctrials", dict(type=int, default=500, help="concentration trials per arm")),
-    "control_n": ("--control-n", dict(type=int, default=10, help="pairs in the control arm")),
-    "eps": ("--eps", dict(type=float, default=0.05, help="end-to-end distortion target")),
-    "eps_est": ("--eps-est", dict(type=float, default=0.01, help="estimation budget")),
+    "alpha": ("--alpha", dict(type=float, default=DEFAULT_ALPHA, help="quantizer step")),
+    "t": ("--t", dict(type=float, default=_CON.t, help="estimation radius, mean L1")),
+    "eta": ("--eta", dict(type=float, default=_CON.eta, help="estimation failure probability")),
+    "cbins": ("--cbins", dict(type=int, default=_CON.bins, help="bins, concentration setup")),
+    "cdeltas": (
+        "--cdeltas",
+        dict(type=int, default=_CON.n_deltas, help="displacements, concentration setup"),
+    ),
+    "ctrials": ("--ctrials", dict(type=int, default=DEFAULT_CTRIALS, help="trials per arm")),
+    "control_n": (
+        "--control-n",
+        dict(type=int, default=DEFAULT_CONTROL_N, help="pairs in the control arm"),
+    ),
+    "eps": ("--eps", dict(type=float, default=DEFAULT_EPS, help="end-to-end distortion target")),
+    "eps_est": ("--eps-est", dict(type=float, default=DEFAULT_EPS_EST, help="estimation budget")),
     "eps_enc": ("--eps-enc", dict(type=float, default=0.5, help="encoder distortion, converse")),
     "c": ("--c", dict(type=float, default=1.0, help="constant of the converse")),
-    "rho": ("--rho", dict(type=float, default=0.9, help="decoder contraction per compute unit")),
-    "delta0": ("--delta0", dict(type=float, default=0.1, help="decoder error at T = 0")),
+    "rho": ("--rho", dict(type=float, default=_DEC.rho, help="decoder contraction per unit of T")),
+    "delta0": ("--delta0", dict(type=float, default=_DEC.delta0, help="decoder error at T = 0")),
     "T_grid": ("--T", dict(type=float, action="append", help="compute budget; repeatable")),
-    "T": ("--T", dict(type=float, default=20.0, help="compute budget")),
+    "T": ("--T", dict(type=float, default=OPERATING_T, help="compute budget")),
     "R": ("--R", dict(type=float, default=731.0, help="rate in bits")),
     "c2": ("--c2", dict(type=float, help="encoder constant (default: fitted; bounds: 0.20814)")),
     "d": ("--d", dict(type=int, help="encoder exponent (default |deltas| * (B^2 - 1))")),
@@ -79,10 +95,10 @@ _ARGS = {
 def _build_config(args) -> ExperimentConfig:
     """The --config file (or the defaults), overridden by each flag given."""
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    updates = {}
+    updates = {"out_dir": "out"} if cfg.out_dir is None else {}  # the CLI always writes
     for f in fields(ExperimentConfig):
         v = getattr(args, f.name, None)
-        if v is not None and (v or f.name != "alphas"):  # a bare --alphas keeps the config's
+        if v is not None and v != []:  # a bare list flag keeps the config's
             updates[f.name] = tuple(v) if isinstance(v, list) else v
     return replace(cfg, **updates)
 
@@ -152,39 +168,36 @@ def _finish(name: str, result: ExperimentResult) -> int:
 
 def _cmd_axioms(args, cfg: ExperimentConfig) -> ExperimentResult:
     """invariance/severity table over a corpus"""
-    return run_axiom_table(cfg, out_dir=cfg.out_dir)
+    return run_axiom_table(cfg)
 
 
 def _cmd_rd(args, cfg: ExperimentConfig) -> ExperimentResult:
     """rate-distortion sweep over a corpus"""
-    return run_rd_curve(cfg, out_dir=cfg.out_dir)
+    return run_rd_curve(cfg)
 
 
 def _cmd_concentration(args, cfg: ExperimentConfig) -> ExperimentResult:
     """estimation sample-size experiment"""
     params = ConcentrationParams(args.cbins, args.cdeltas, args.t, args.eta)
-    return run_concentration(cfg, params, args.ctrials, args.control_n, out_dir=cfg.out_dir)
+    return run_concentration(cfg, params, args.ctrials, args.control_n)
 
 
 def _cmd_channel(args, cfg: ExperimentConfig) -> ExperimentResult:
     """bit-error-rate sweep"""
-    return run_channel_sweep(cfg, alpha=args.alpha, out_dir=cfg.out_dir)
+    return run_channel_sweep(cfg, alpha=args.alpha)
 
 
 def _cmd_sla_pipeline(args, cfg: ExperimentConfig) -> ExperimentResult:
     """end-to-end stage composition check"""
     dec = DecoderModel(args.rho, args.delta0)
-    t_grid = tuple(args.T_grid) if args.T_grid else (0.0, 5.0, 10.0, 20.0, 40.0)
-    return run_sla_pipeline(cfg, alpha=args.alpha, dec=dec, t_grid=t_grid, out_dir=cfg.out_dir)
+    return run_sla_pipeline(cfg, alpha=args.alpha, dec=dec, t_grid=args.T_grid or DEFAULT_T_GRID)
 
 
 def _cmd_sla_surface(args, cfg: ExperimentConfig) -> ExperimentResult:
     """design surface eps(R, T) + inversions"""
     dec = DecoderModel(args.rho, args.delta0)
     enc = _encoder(args, cfg)
-    return run_sla_surface(
-        cfg, eps=args.eps, eps_est=args.eps_est, dec=dec, enc=enc, out_dir=cfg.out_dir
-    )
+    return run_sla_surface(cfg, eps=args.eps, eps_est=args.eps_est, dec=dec, enc=enc)
 
 
 def _cmd_bounds(args, cfg: ExperimentConfig) -> None:

@@ -22,13 +22,15 @@ from .bounds import (
     ConcentrationParams,
     DecoderModel,
     EncoderModel,
+    SlaBudget,
     _in_range,
     fit_encoder_model,
     nominal_d,
     r_min,
     sample_complexity,
-    t_min,
+    sla_compose,
     sla_surface,
+    t_min,
 )
 from .channel import ber_experiment, trial_seed
 from .codec import RdPoint, dequantize, quantize, rd_sweep
@@ -48,6 +50,14 @@ from .transforms import apply_transform, default_bank, gaussian_blur_array, mono
 DEFAULT_ALPHAS = (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)
 DEFAULT_BERS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 DEFAULT_SEED = 20260819
+# The runners' default operating point; the CLI flags default to these names.
+DEFAULT_ALPHA = 1 / 64
+DEFAULT_DECODER = DecoderModel(0.9, 0.1)
+DEFAULT_T_GRID = (0.0, 5.0, 10.0, 20.0, 40.0)
+OPERATING_T = 20.0
+DEFAULT_EPS, DEFAULT_EPS_EST = 0.05, 0.01
+DEFAULT_CONCENTRATION = ConcentrationParams(4, 2, 0.1, 0.05)
+DEFAULT_CTRIALS, DEFAULT_CONTROL_N = 500, 10
 # (image, T) problems bisected together in _solve_weights. The block bounds
 # the kernel's working set: its arrays are (2, block, |deltas|, B^2).
 WEIGHT_BLOCK = 128
@@ -63,7 +73,7 @@ class ExperimentConfig:
     bers: tuple[float, ...] = DEFAULT_BERS
     trials: int = 200
     seed: int = DEFAULT_SEED
-    out_dir: str = "out"
+    out_dir: str | None = None  # None: the runners write no file
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -280,7 +290,7 @@ def _result(
 # invariance / severity table
 
 
-def run_axiom_table(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
+def run_axiom_table(cfg: ExperimentConfig) -> ExperimentResult:
     """d_pc / PSNR / SSIM for every corpus image under the default bank.
 
     Per-image verdict passes iff every monotone row has d_pc <= 0.02
@@ -318,7 +328,7 @@ def run_axiom_table(cfg: ExperimentConfig, out_dir: str | None = None) -> Experi
         _check("monotone_d_pc", 0.02, mono_worst),
         _check("severity_order", 0.0, overlaps),
     ]
-    return _result(out_dir, [("axiom_table", header, rows)], checks)
+    return _result(cfg.out_dir, [("axiom_table", header, rows)], checks)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +344,7 @@ def _fit_interior(points: list[RdPoint], d: int | None = None) -> tuple[float, f
     return fit_encoder_model(rates, [p.distortion for p in interior], d=d)
 
 
-def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
+def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
     """Quantizer sweep per image plus a log-linear fit over the interior alphas.
 
     Asserted: distortion within the closed-form bound (hard failure only
@@ -384,7 +394,7 @@ def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> Experimen
         _check("rate_excess_bits", float(n * b2), rate_excess),
     ]
     tables = [("rd_curve", header, rows), ("rd_fit", fit_header, fit_rows)]
-    return _result(out_dir, tables, checks, warnings=warnings)
+    return _result(cfg.out_dir, tables, checks, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +427,9 @@ def _concentration_arm(
 
 def run_concentration(
     cfg: ExperimentConfig,
-    params: ConcentrationParams = ConcentrationParams(4, 2, 0.1, 0.05),
-    trials: int = 500,
-    control_n: int = 10,
-    out_dir: str | None = None,
+    params: ConcentrationParams = DEFAULT_CONCENTRATION,
+    trials: int = DEFAULT_CTRIALS,
+    control_n: int = DEFAULT_CONTROL_N,
 ) -> ExperimentResult:
     """Validate the sample-size formula: at the prescribed n_eff the failure
     fraction stays within eta (check nominal_failure_fraction); at control_n
@@ -443,7 +452,7 @@ def run_concentration(
         Check("nominal_failure_fraction", fractions[0], params.eta, fractions[0] <= params.eta),
         Check("control_failure_fraction", fractions[1], params.eta, fractions[1] > params.eta),
     ]
-    return _result(out_dir, [("concentration", header, rows)], checks)
+    return _result(cfg.out_dir, [("concentration", header, rows)], checks)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +477,7 @@ def fixture_family(cfg: ExperimentConfig) -> CopulaFamily:
     return extract_family(fixture_image(cfg), cfg.deltas, cfg.bins, stride=1)
 
 
-def run_channel_sweep(
-    cfg: ExperimentConfig, alpha: float = 1 / 64, out_dir: str | None = None
-) -> ExperimentResult:
+def run_channel_sweep(cfg: ExperimentConfig, alpha: float = DEFAULT_ALPHA) -> ExperimentResult:
     """Mean corruption distortion per bit-error rate on the fixture family.
 
     Distortion is identically zero at r = 0, so linearity is judged on the
@@ -515,7 +522,7 @@ def run_channel_sweep(
         for e in exps
     ]
     values = {"k_fit": k_fit, "k_lin": k_lin, "r_squared": r2, "doubling_ratio": doubling}
-    return _result(out_dir, [("channel_sweep", header, rows)], checks, values)
+    return _result(cfg.out_dir, [("channel_sweep", header, rows)], checks, values)
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +589,9 @@ def _solve_weights(cells: np.ndarray, targets: np.ndarray | list[float]) -> np.n
 
 def run_sla_pipeline(
     cfg: ExperimentConfig,
-    alpha: float = 1 / 64,
-    dec: DecoderModel = DecoderModel(0.9, 0.1),
-    t_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 20.0, 40.0),
-    out_dir: str | None = None,
+    alpha: float = DEFAULT_ALPHA,
+    dec: DecoderModel = DEFAULT_DECODER,
+    t_grid: tuple[float, ...] = DEFAULT_T_GRID,
 ) -> ExperimentResult:
     """Full chain per image: dense truth family -> disjoint-pair estimate ->
     quantized encode -> synthetic decode (mixed toward uniform so the decode
@@ -623,7 +629,7 @@ def run_sla_pipeline(
         d_decs, d_totals = _d_pc_batch(enc, mixed).tolist(), _d_pc_batch(truth, mixed).tolist()
         prev_dec = None
         for t_budget, w, d_dec, d_total in zip(t_grid, ws.tolist(), d_decs, d_totals):
-            bound = d_est + d_enc + d_dec
+            bound = sla_compose(SlaBudget(d_est, d_enc, d_dec)).eps_total
             holds = d_total <= bound + 1e-12
             excess.append((d_total - bound, holds))
             if prev_dec is not None:
@@ -636,7 +642,7 @@ def run_sla_pipeline(
         _check("composition", 1e-12, excess),
         _check("decode_non_increasing", 1e-12, rises),
     ]
-    return _result(out_dir, [("sla_pipeline", header, rows)], checks)
+    return _result(cfg.out_dir, [("sla_pipeline", header, rows)], checks)
 
 
 # ---------------------------------------------------------------------------
@@ -652,15 +658,13 @@ def fit_encoder_from_fixture(cfg: ExperimentConfig) -> EncoderModel:
 
 def run_sla_surface(
     cfg: ExperimentConfig,
-    eps: float = 0.05,
-    eps_est: float = 0.01,
-    dec: DecoderModel = DecoderModel(0.9, 0.1),
+    eps: float = DEFAULT_EPS,
+    eps_est: float = DEFAULT_EPS_EST,
+    dec: DecoderModel = DEFAULT_DECODER,
     enc: EncoderModel | None = None,
-    r_grid: tuple[float, ...] | None = None,
-    t_grid: tuple[float, ...] | None = None,
-    out_dir: str | None = None,
 ) -> ExperimentResult:
-    """Tabulate eps(R, T) and verify the r_min / t_min inversions against it.
+    """Tabulate eps(R, T) at 21 x 21 points, R in [0, 1500] bits and T in
+    [0, 40], and verify the r_min / t_min inversions against it.
 
     enc defaults to the encoder model fitted on the noise fixture, so the
     surface is anchored to measured behavior rather than assumed constants.
@@ -668,15 +672,12 @@ def run_sla_surface(
     Asserted: every inversion round trip within 1e-6 (check
     max_roundtrip_err), eps strictly decreasing along R and along T (checks
     decreasing_in_R / decreasing_in_T, observed as the largest step), and a
-    finite r_min at T = 20 and eps (check operating_point_feasible).
+    finite r_min at T = OPERATING_T and eps (check operating_point_feasible).
     """
     if enc is None:
         enc = fit_encoder_from_fixture(cfg)
-    if r_grid is None:
-        r_grid = np.linspace(0.0, 1500.0, 21)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 40.0, 21)
-    r_grid, t_grid = tuple(float(v) for v in r_grid), tuple(float(v) for v in t_grid)
+    r_grid = tuple(float(v) for v in np.linspace(0.0, 1500.0, 21))
+    t_grid = tuple(float(v) for v in np.linspace(0.0, 40.0, 21))
     grid = sla_surface(r_grid, t_grid, eps_est, dec, enc)
     header = ["R", "T", "eps"]
     rows = []
@@ -691,7 +692,7 @@ def run_sla_surface(
                 max_err = math.inf
             else:
                 max_err = max(max_err, abs(r_back - r), abs(t_back - t))
-    op_r = r_min(20.0, eps, eps_est, dec, enc)
+    op_r = r_min(OPERATING_T, eps, eps_est, dec, enc)
     checks = [Check("max_roundtrip_err", max_err, 1e-6, max_err <= 1e-6)]
     for axis, name in enumerate("RT"):
         steps = np.diff(grid, axis=axis)
@@ -702,4 +703,4 @@ def run_sla_surface(
         Check("operating_point_feasible", op_r if feasible else math.inf, math.inf, feasible)
     )
     values = dict(enc_c2=enc.c2, enc_d=enc.d, max_roundtrip_err=max_err, operating_r_min=op_r)
-    return _result(out_dir, [("sla_surface", header, rows)], checks, values)
+    return _result(cfg.out_dir, [("sla_surface", header, rows)], checks, values)

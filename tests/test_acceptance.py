@@ -29,6 +29,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from copsem.bounds import (
     r_min,
     sample_complexity,
 )
+from copsem.cli import main
 from copsem.codec import dequantize, quantize, rd_sweep
 from copsem.harness import (
     ExperimentConfig,
@@ -317,12 +319,10 @@ def test_pipeline_stage_distortions_compose():
 
 def test_budget_inversions_roundtrip_on_grid():
     """rate_for_budget and time_for_budget invert the design surface to
-    1e-6 on a 20x20 grid, and the surface is strictly decreasing in both
+    1e-6 on its 21x21 grid, and the surface is strictly decreasing in both
     the rate and the compute budget."""
     enc = EncoderModel(0.20814, 252)
-    r_grid = tuple(float(v) for v in np.linspace(0.0, 1500.0, 20))
-    t_grid = tuple(float(v) for v in np.linspace(0.0, 40.0, 20))
-    result = run_sla_surface(CFG, enc=enc, r_grid=r_grid, t_grid=t_grid)
+    result = run_sla_surface(CFG, enc=enc)
     assert {c.name: c.passed for c in result.checks} == {
         "max_roundtrip_err": True,
         "decreasing_in_R": True,
@@ -333,12 +333,12 @@ def test_budget_inversions_roundtrip_on_grid():
     max_err = result.values["max_roundtrip_err"]
     assert max_err <= 1e-6
     (table,) = result.tables
-    assert len(table.rows) == 400
-    eps = np.array([float(row[2]) for row in table.rows]).reshape(20, 20)
+    assert len(table.rows) == 441
+    eps = np.array([float(row[2]) for row in table.rows]).reshape(21, 21)
     assert np.all(np.diff(eps, axis=0) < 0.0)
     assert np.all(np.diff(eps, axis=1) < 0.0)
     print(
-        f"PASS inversion: 20x20 grid, max roundtrip error="
+        f"PASS inversion: 21x21 grid, max roundtrip error="
         f"{max_err:.2e}"
     )
 
@@ -382,19 +382,19 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "g
 def test_reruns_write_identical_csv_bytes(tmp_path):
     """Every experiment, re-run with the same seed, writes byte-identical
     CSV artifacts, and at the default config they match the recorded
-    golden SHA-256 of each CSV."""
-
-    def run_all(out_dir: str):
-        run_axiom_table(CFG, out_dir=out_dir)
-        run_rd_curve(CFG, out_dir=out_dir)
-        run_concentration(CFG, out_dir=out_dir)
-        run_channel_sweep(CFG, out_dir=out_dir)
-        run_sla_pipeline(CFG, out_dir=out_dir)
-        run_sla_surface(CFG, out_dir=out_dir)
-
+    golden SHA-256 of each CSV. The re-run goes through the CLI with no
+    flag but --out, so a CLI default that drifts from its runner default
+    shows here."""
     dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
-    run_all(dir_a)
-    run_all(dir_b)
+    cfg = replace(CFG, out_dir=dir_a)
+    run_axiom_table(cfg)
+    run_rd_curve(cfg)
+    run_concentration(cfg)
+    run_channel_sweep(cfg)
+    run_sla_pipeline(cfg)
+    run_sla_surface(cfg)
+    for cmd in ("axioms", "rd", "concentration", "channel", "sla-pipeline", "sla-surface"):
+        assert main([cmd, "--out", dir_b]) == 0, cmd
     names = sorted(os.listdir(dir_a))
     assert names == sorted(os.listdir(dir_b))
     assert len(names) == 7
@@ -403,8 +403,8 @@ def test_reruns_write_identical_csv_bytes(tmp_path):
             blob_a = fh.read()
         with open(os.path.join(dir_b, name), "rb") as fh:
             blob_b = fh.read()
-        assert blob_a == blob_b, f"{name} differs between identical runs"
-    print(f"PASS determinism: {len(names)} CSV artifacts byte-identical on re-run")
+        assert blob_a == blob_b, f"{name} differs between the library and the CLI run"
+    print(f"PASS determinism: {len(names)} CSV artifacts byte-identical from library and CLI")
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert golden["seed"] == CFG.seed

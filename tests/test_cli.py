@@ -420,6 +420,39 @@ def test_config_file_sets_output_directory(tmp_path, capsys):
     assert os.path.exists(line)
 
 
+def test_out_flag_beats_the_config_file(tmp_path, capsys):
+    from_config, from_flag = tmp_path / "from_config", tmp_path / "from_flag"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(from_config)}))
+    rc = main(["sla-surface", "--config", str(cfg_path), "--out", str(from_flag), "--c2", "0.2"])
+    assert rc == 0
+    assert f"csv={from_flag / 'sla_surface.csv'}" in capsys.readouterr().out
+    assert (from_flag / "sla_surface.csv").exists()
+    assert not from_config.exists()
+
+
+def test_without_out_the_cli_writes_into_out(tmp_path, monkeypatch, capsys):
+    # the library writes nothing unless cfg.out_dir is set; the CLI falls
+    # back to ./out when neither --out nor a config file names a directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["sla-surface", "--c2", "0.2"]) == 0
+    assert f"csv={os.path.join('out', 'sla_surface.csv')}" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(tmp_path / "out") == ["sla_surface.csv"]
+
+
+def test_bare_list_flag_keeps_the_config_corpus(tmp_path, capsys):
+    # a bare --corpus used to drop the config's corpus for the builtin
+    # 20-image set (rows=120); a bare --alphas keeps the config's steps too
+    (path,) = _write_corpus(tmp_path, count=1)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"corpus": [path], "alphas": [0.125, 0.0625]}))
+    out = str(tmp_path / "out")
+    rc = main(["rd", "--config", str(cfg_path), "--out", out, "--corpus", "--alphas"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("rd: ok=true rows=2 ")
+
+
 def test_builtin_synthetic_corpus_is_default(tmp_path, capsys):
     # no --corpus: the harness falls back to its builtin synthetic set
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def check_names(result):
 
 def test_axiom_table(tmp_path):
     cfg = ExperimentConfig()
-    result = run_axiom_table(cfg, out_dir=str(tmp_path))
+    result = run_axiom_table(replace(cfg, out_dir=str(tmp_path)))
     assert check_names(result) == {"monotone_d_pc", "severity_order"}
     (table,) = result.tables
     assert table.schema == "copsem.axiom_table.v1"
@@ -219,7 +220,7 @@ def test_axiom_table(tmp_path):
 
 def test_rd_curve_warns_but_holds(tmp_path):
     cfg = ExperimentConfig()
-    result = run_rd_curve(cfg, out_dir=str(tmp_path))
+    result = run_rd_curve(replace(cfg, out_dir=str(tmp_path)))
     assert check_names(result) == {"distortion_over_bound", "rate_excess_bits"}
     curve, fit = result.tables
     assert len(curve.rows) == 20 * len(DEFAULT_ALPHAS)
@@ -241,14 +242,8 @@ def test_rd_curve_warns_but_holds(tmp_path):
 
 
 def test_concentration_nominal_vs_control(tmp_path):
-    cfg = ExperimentConfig()
-    result = run_concentration(
-        cfg,
-        ConcentrationParams(4, 2, 0.1, 0.05),
-        trials=100,
-        control_n=10,
-        out_dir=str(tmp_path),
-    )
+    cfg = ExperimentConfig(out_dir=str(tmp_path))
+    result = run_concentration(cfg, ConcentrationParams(4, 2, 0.1, 0.05), trials=100, control_n=10)
     assert check_names(result) == {"nominal_failure_fraction", "control_failure_fraction"}
     (table,) = result.tables
     nominal, control = table.rows
@@ -260,7 +255,7 @@ def test_concentration_nominal_vs_control(tmp_path):
 
 def test_channel_sweep_gates(tmp_path):
     cfg = ExperimentConfig()
-    result = run_channel_sweep(cfg, out_dir=str(tmp_path))
+    result = run_channel_sweep(replace(cfg, out_dir=str(tmp_path)))
     assert check_names(result) == {"means_non_decreasing", "r_squared", "doubling_ratio"}
     assert result.values["r_squared"] >= 0.95
     assert 1.6 <= result.values["doubling_ratio"] <= 2.4
@@ -312,7 +307,7 @@ def test_sla_pipeline_composition(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_d_pc_batch", counting_kernel)
     monkeypatch.setattr(harness, "_solve_weights", counting_solve)
     cfg = ExperimentConfig()
-    result = run_sla_pipeline(cfg, out_dir=str(tmp_path))
+    result = run_sla_pipeline(replace(cfg, out_dir=str(tmp_path)))
     assert check_names(result) == {"composition", "decode_non_increasing"}
     (table,) = result.tables
     assert all(row[-1] == "true" for row in table.rows)
@@ -325,7 +320,7 @@ def test_sla_pipeline_composition(tmp_path, monkeypatch):
 
 def test_sla_surface_roundtrip(tmp_path):
     cfg = ExperimentConfig()
-    result = run_sla_surface(cfg, out_dir=str(tmp_path))
+    result = run_sla_surface(replace(cfg, out_dir=str(tmp_path)))
     assert check_names(result) == {
         "max_roundtrip_err",
         "decreasing_in_R",
@@ -431,13 +426,27 @@ def test_decoder_weight_rejects_a_nan_target():
 
 def test_csv_determinism(tmp_path):
     cfg = ExperimentConfig()
-    a = run_channel_sweep(cfg, out_dir=str(tmp_path / "a"))
-    b = run_channel_sweep(cfg, out_dir=str(tmp_path / "b"))
+    a = run_channel_sweep(replace(cfg, out_dir=str(tmp_path / "a")))
+    b = run_channel_sweep(replace(cfg, out_dir=str(tmp_path / "b")))
     with open(a.tables[0].path, "rb") as fh:
         blob_a = fh.read()
     with open(b.tables[0].path, "rb") as fh:
         blob_b = fh.read()
     assert blob_a == blob_b
+
+
+def test_runners_write_only_into_a_set_out_dir(tmp_path, monkeypatch):
+    """A runner writes its CSVs into cfg.out_dir; the default config sets
+    none, and then no file is written anywhere."""
+    assert ExperimentConfig().out_dir is None
+    enc = EncoderModel(0.20814, 252)
+    monkeypatch.chdir(tmp_path)
+    (table,) = run_sla_surface(ExperimentConfig(), enc=enc).tables
+    assert table.path is None
+    assert os.listdir(tmp_path) == []
+    (table,) = run_sla_surface(ExperimentConfig(out_dir="csv"), enc=enc).tables
+    assert table.path == os.path.join("csv", "sla_surface.csv")
+    assert read_lines(tmp_path / table.path)[0] == b"#schema=copsem.sla_surface.v1"
 
 
 def test_cell_rule():
@@ -452,16 +461,11 @@ def test_cell_rule():
 def test_integer_grids_write_the_float_rows(tmp_path):
     """Real-valued runner inputs are floats from where they enter, so an int
     in a real column is still written as 0.0, as a float input is."""
-    enc = EncoderModel(0.2, 252)
-    ints = run_sla_surface(ExperimentConfig(), enc=enc, r_grid=(0, 100), t_grid=(0, 10))
-    floats = run_sla_surface(ExperimentConfig(), enc=enc, r_grid=(0.0, 100.0), t_grid=(0.0, 10.0))
-    assert ints.tables[0].rows == floats.tables[0].rows
-    assert ints.tables[0].rows[0][:2] == ("0.0", "0.0")
     img = tmp_path / "img.pgm"
     img.write_bytes(write_pgm(synthetic_corpus(count=1, size=48)[0][1]))
     cfg = ExperimentConfig(corpus=(str(img),))
-    ints = run_sla_pipeline(cfg, t_grid=(0, 5), out_dir=str(tmp_path / "ints"))
-    floats = run_sla_pipeline(cfg, t_grid=(0.0, 5.0), out_dir=str(tmp_path / "floats"))
+    ints = run_sla_pipeline(replace(cfg, out_dir=str(tmp_path / "ints")), t_grid=(0, 5))
+    floats = run_sla_pipeline(replace(cfg, out_dir=str(tmp_path / "floats")), t_grid=(0.0, 5.0))
     assert ints.tables[0].rows == floats.tables[0].rows
     assert [row[3] for row in ints.tables[0].rows] == ["0.0", "5.0"]
     assert read_lines(ints.tables[0].path) == read_lines(floats.tables[0].path)
