@@ -504,7 +504,8 @@ def run_channel_sweep(cfg: ExperimentConfig, alpha: float = DEFAULT_ALPHA) -> Ex
     means = [e.mean_d_pc for e in exps]
     rs = np.asarray(bers)
     ys = np.asarray(means)
-    k_lin = float(np.sum(rs * ys) / np.sum(rs * rs))
+    rr = float(np.sum(rs * rs))
+    k_lin = float(np.sum(rs * ys)) / rr if rr > 0 else 0.0
     ss_y = float(np.sum(ys**2))
     r2 = 1.0 if ss_y == 0.0 else 1.0 - float(np.sum((ys - k_lin * rs) ** 2)) / ss_y
     lo = ber_experiment(q, 1e-3, 400, trial_seed(cfg.seed, 91, 1))

@@ -37,35 +37,19 @@ def _as_dist(x, name: str) -> np.ndarray:
 def _row_sums(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """np.sum(a[r][keep[r]]) for every row r of two (R, m) arrays, to the last bit.
 
-    numpy sums a 1-D float array pairwise: under 8 terms in sequence from
-    0.0; up to 128 terms in 8 lanes r[j] += a[i + j], combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder in
-    sequence; above 128 terms it splits at n // 2 rounded down to a multiple
-    of 8 and recurses. A sum along an axis of zero-filled rows takes another
-    order and changes the last bits.
-
-    Here the kept term of rank c in its row goes to slot (c - 1) % 8 of the
-    row, a lane, or to slot 8 + (c - 1) % 8 once it is past the last full
-    lane block. np.bincount adds in input order, so a lane holds
-    0.0 + a[j] + a[8 + j] + ...; an 8-wide row sum combines the lanes in
-    the order above, and a cumsum adds the remainder. Zeros that are not
-    terms can only flip the sign of a zero, and as in np.sum, which starts
-    from 0.0, no row sums to -0.0."""
-    c = np.cumsum(keep, axis=1)
-    k = c[:, -1]
-    rows = len(k)
-    big = np.flatnonzero(k > 128) if a.shape[1] > 128 else ()
-    if len(big):
-        left = keep[big] & (c[big] <= (k[big, None] // 2 & -8))
-        split = _row_sums(a[big], left) + _row_sums(a[big], keep[big] & ~left)
-    slot = (c - 1) & 7
-    slot += 8 * (c > (k & -8)[:, None])
-    slot += np.arange(0, 16 * rows, 16)[:, None]
-    v = np.bincount(slot[keep], a[keep], 16 * rows).reshape(rows, 16)
-    v[:, 7] = v[:, :8].sum(axis=1)
-    out = v[:, 7:15].cumsum(axis=1)[:, -1]
-    if len(big):  # their lanes above were filled past 128 terms; replace them
-        out[big] = split
+    A sum along an axis of zero-filled rows takes another order, so other last
+    bits. numpy sums each row of a contiguous (rows, k) block as it sums the
+    row alone, so the rows are ordered by their count k of kept terms and the
+    kept terms of each k are summed as one block; dropped terms are not read."""
+    k = keep.sum(axis=1)
+    rows = np.argsort(k, kind="stable")
+    terms = a[rows][keep[rows]]
+    out = np.empty(len(k))
+    i = j = 0  # first row and first term of the next block
+    for size, count in enumerate(np.bincount(k).tolist()):
+        if count:
+            out[rows[i : i + count]] = terms[j : j + count * size].reshape(count, size).sum(axis=1)
+            i, j = i + count, j + count * size
     return out
 
 

@@ -265,6 +265,13 @@ def test_channel_sweep_gates(tmp_path):
     assert read_lines(table.path)[0] == b"#schema=copsem.channel_sweep.v1"
 
 
+def test_channel_sweep_without_a_positive_rate_fits_zero():
+    # no rate to fit through the origin: k_lin is 0.0, as k_fit is, not 0/0
+    result = run_channel_sweep(replace(ExperimentConfig(), bers=(0.0,), trials=2))
+    assert result.values["k_lin"] == result.values["k_fit"] == 0.0
+    assert result.values["r_squared"] == 1.0
+
+
 def test_channel_top_pinned_constant_underestimates_small_r():
     """The per-r mean is concave in r (multi-flip corruption saturates), so
     the constant pinned at the top of the sweep undershoots the small-r
@@ -404,8 +411,8 @@ def test_decoder_weight_matches_the_stepwise_bisection():
 
 
 def test_decoder_weight_matches_the_stepwise_bisection_at_256_cells():
-    # the mixed rows have all 256 cells in their support, so _row_sums takes
-    # its split path for rows of more than 128 terms
+    # the mixed rows have all 256 cells in their support, so their sums are
+    # long enough for numpy to split them into blocks
     cfg = ExperimentConfig(bins=16)
     dec = DecoderModel(0.9, 0.1)
     encs = _encoded_corpus(cfg)[:3]
