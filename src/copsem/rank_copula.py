@@ -211,17 +211,31 @@ def _reject_json_constant(token: str):
     raise ValueError(f"non-finite number {token} in family JSON")
 
 
-def rank_transform(img: GrayImage) -> RankField:
-    """Map pixels to u = midrank / (N + 1), midrank = mean rank over ties (1..N).
-    u8 images count their values with bincount instead of sorting."""
+def _midranks(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, u): u holds midrank / (N + 1) of each distinct pixel value,
+    midrank = mean rank over ties (1..N), and u[inverse] is the per-pixel
+    rank. u8 images count their values with bincount instead of sorting."""
     px = img.pixels.ravel()
     if img.domain == U8:
         inverse, counts = px, np.bincount(px, minlength=256)
     else:
         _, inverse, counts = np.unique(px, return_inverse=True, return_counts=True)
     cum = np.cumsum(counts)
-    u = 0.5 * (cum + (cum - counts) + 1) / (px.size + 1)
+    return inverse, 0.5 * (cum + (cum - counts) + 1) / (px.size + 1)
+
+
+def rank_transform(img: GrayImage) -> RankField:
+    """Map pixels to u = midrank / (N + 1), midrank = mean rank over ties (1..N)."""
+    inverse, u = _midranks(img)
     return RankField(img.width, img.height, u[inverse].reshape(img.height, img.width))
+
+
+def _bin_of(u: np.ndarray, bins: int) -> np.ndarray:
+    """Bin min(floor(u * B), B - 1) of each u, in the smallest unsigned dtype
+    that holds every cell code i * B + j (uint8 up to B = 16)."""
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2 for estimation, got {bins}")
+    return np.minimum((u * bins).astype(np.min_scalar_type(bins * bins - 1)), bins - 1)
 
 
 def _anchor_range(extent: int, offset: int, stride: int) -> range:
@@ -244,22 +258,25 @@ def extract_copula(
     (no pixel participates twice).
     """
     delta = Displacement(*delta)
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2 for estimation, got {bins}")
+    return _pair_copula(_bin_of(field.u, bins), delta, bins, stride)
+
+
+def _pair_copula(cell: np.ndarray, delta: Displacement, bins: int, stride: int) -> EmpiricalCopula:
+    """extract_copula on the (height, width) bin map cell = _bin_of(u, bins)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if delta == (0, 0):
         raise ValueError("displacement (0, 0) is degenerate")
-    xs = _anchor_range(field.width, delta.dx, stride)
-    ys = _anchor_range(field.height, delta.dy, stride)
+    height, width = cell.shape
+    xs = _anchor_range(width, delta.dx, stride)
+    ys = _anchor_range(height, delta.dy, stride)
     n_pairs = len(xs) * len(ys)
     if n_pairs == 0:
         raise EmptySampleError(
             f"no valid anchors for delta={tuple(delta)} stride={stride} "
-            f"on a {field.width}x{field.height} field"
+            f"on a {width}x{height} field"
         )
     dx, dy = delta
-    cell = np.minimum((field.u * bins).astype(np.int64), bins - 1)
     i = cell[ys.start : ys.stop : stride, xs.start : xs.stop : stride]
     j = cell[ys.start + dy : ys.stop + dy : stride, xs.start + dx : xs.stop + dx : stride]
     counts = np.bincount((i * bins + j).ravel(), minlength=bins * bins)
@@ -273,13 +290,14 @@ def extract_family(
     bins: int = DEFAULT_BINS,
     stride: int = 1,
 ) -> CopulaFamily:
-    """Rank once globally, then estimate one copula per displacement.
-
-    Per-displacement estimation is independent (order does not matter).
+    """Bin every distinct pixel value once, then count one copula per
+    displacement from the shared bin map; the same values as
+    extract_copula(rank_transform(img), delta, bins, stride) for each delta.
     """
-    field = rank_transform(img)
     deltas = tuple(Displacement(*d) for d in deltas)
-    copulas = [extract_copula(field, d, bins, stride) for d in deltas]
+    inverse, u = _midranks(img)
+    cell = _bin_of(u, bins)[inverse].reshape(img.height, img.width)
+    copulas = [_pair_copula(cell, d, bins, stride) for d in deltas]
     cells = np.asarray([c.cells for c in copulas])
     return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
 

@@ -1,9 +1,10 @@
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from copsem.image_io import REAL, GrayImage, synth_gradient, synth_noise
@@ -85,6 +86,77 @@ def test_copula_matches_gather_reference(stride, bins):
         cop = extract_copula(field, delta, bins, stride)
         assert cop.n_pairs == n_pairs, delta
         assert np.array_equal(cop.cells, counts / n_pairs), delta
+
+
+def _stacked_family(img, deltas, bins, stride):
+    field = rank_transform(img)
+    copulas = [extract_copula(field, d, bins, stride) for d in deltas]
+    cells = [c.cells for c in copulas]
+    return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
+
+
+def _tied_image(shape, real, levels, seed):
+    px = np.random.default_rng(seed).integers(0, levels, shape)
+    return GrayImage(shape[1], shape[0], px * 0.37 - 1.5, domain=REAL) if real else as_image(px)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+    real=st.booleans(),
+    levels=st.sampled_from([1, 2, 3, 5, 256]),  # few levels, so most pixels are tied
+    seed=st.integers(0, 2**32 - 1),
+    deltas=st.lists(
+        st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (-2, 3), (5, -1), (0, -4)]),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ),
+    bins=st.integers(2, 16) | st.integers(17, 20),  # uint8 bin codes, then uint16
+    stride=st.integers(1, 3),
+)
+@settings(max_examples=150)
+def test_family_equals_stacked_copulas(shape, real, levels, seed, deltas, bins, stride):
+    img = _tied_image(shape, real, levels, seed)
+    deltas = [Displacement(*d) for d in deltas]
+    try:
+        want = _stacked_family(img, deltas, bins, stride)
+    except EmptySampleError as exc:
+        with pytest.raises(EmptySampleError, match=re.escape(str(exc))):
+            extract_family(img, deltas, bins, stride)
+        return
+    fam = extract_family(img, deltas, bins, stride)
+    assert fam == want
+    u = rank_transform(img).u
+    for d, cells, n_pairs in zip(deltas, fam.cells, fam.n_pairs):
+        counts, want_pairs = _gather_counts(u, d, bins, stride)
+        assert n_pairs == want_pairs, d
+        assert np.array_equal(cells, counts / n_pairs), d
+
+
+@pytest.mark.parametrize(
+    "bins, stride, deltas, error, message",
+    [
+        (1, 0, [(0, 0), (9, 0)], ValueError, "bins must be >= 2 for estimation, got 1"),
+        (-1, 1, [(1, 0)], ValueError, "bins must be >= 2 for estimation, got -1"),
+        (17, 0, [(0, 0), (9, 0)], ValueError, "stride must be >= 1, got 0"),
+        (17, 1, [(1, 0), (0, 0), (9, 0)], ValueError, "displacement (0, 0) is degenerate"),
+        (
+            2,
+            2,
+            [(1, 0), (0, 9), (0, 0)],
+            EmptySampleError,
+            "no valid anchors for delta=(0, 9) stride=2 on a 4x3 field",
+        ),
+    ],
+)
+@pytest.mark.parametrize("real", [False, True])
+def test_family_errors_keep_their_order(real, bins, stride, deltas, error, message):
+    img = _tied_image((3, 4), real, 3, 0)
+    deltas = [Displacement(*d) for d in deltas]
+    for build in (extract_family, _stacked_family):
+        with pytest.raises(ValueError) as info:
+            build(img, deltas, bins, stride)
+        assert (type(info.value), str(info.value)) == (error, message), build
 
 
 def test_copula_two_by_two():
