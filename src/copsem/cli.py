@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields, replace
@@ -239,7 +240,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once; append flags copy their default on every parse."""
     ap = argparse.ArgumentParser("copsem", description="rank-copula structural semantics toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (fn, names) in _COMMANDS.items():
@@ -250,7 +253,11 @@ def main(argv: list[str] | None = None) -> int:
                 kwargs = dict(kwargs, dest=name)
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         result = args.fn(args, _build_config(args))
         return 0 if result is None else _finish(args.command, result)

@@ -167,8 +167,9 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     the string "inf" instead of a floating-point infinity.
     """
     _check_u8_pair(a, b)
-    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
-    mse = float(np.mean(diff * diff))
+    # an exact sum, as the float mean's is, so the same correctly rounded quotient
+    diff = a.pixels.astype(np.int32) - b.pixels
+    mse = int((diff * diff).sum(dtype=np.int64)) / diff.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0 * 255.0 / mse)
@@ -182,25 +183,28 @@ def ssim(a: GrayImage, b: GrayImage) -> float:
     partial border strips are dropped.
     """
     _check_u8_pair(a, b)
-    x, y = _windows(a.pixels), _windows(b.pixels)
-    mx, my = x.mean(axis=(1, 2)), y.mean(axis=(1, 2))
-    vx, vy = x.var(axis=(1, 2)), y.var(axis=(1, 2))
-    cov = ((x - mx[:, None, None]) * (y - my[:, None, None])).mean(axis=(1, 2))
+    k, n = SSIM_WINDOW, SSIM_WINDOW**2
+    h, w = a.pixels.shape
+    if h < k or w < k:  # one window, not of n pixels: the float moments
+        x, y = a.pixels.astype(np.float64), b.pixels.astype(np.float64)
+        mx, my = x.mean(), y.mean()
+        vx, vy, cov = x.var(), y.var(), ((x - mx) * (y - my)).mean()
+    else:  # integer window sums, n * sum(x^2) < 2^31; the moments are the same
+        # exact multiples of 2^-12 as the float ones, in row-major window order
+        bh, bw = h // k, w // k
+        x, y = (im.pixels[: bh * k, : bw * k].astype(np.int32) for im in (a, b))
+
+        def box(z):  # rows first, in int32: about 4x as fast as sum(axis=(1, 3))
+            return z.reshape(bh, k, -1).sum(1, dtype=np.int32).reshape(-1, k).sum(1, dtype=np.int64)
+
+        sx, sy = box(x), box(y)
+        mx, my = sx / n, sy / n
+        vx = (n * box(x * x) - sx * sx) / n**2
+        vy = (n * box(y * y) - sy * sy) / n**2
+        cov = (n * box(x * y) - sx * sy) / n**2
     num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
     return float(np.mean(num / den))
-
-
-def _windows(pixels: np.ndarray) -> np.ndarray:
-    """The windows as one float64 (n, rows, cols) array. The moments of an 8x8
-    u8 window are exact in float64, so their summation order cannot matter."""
-    x = pixels.astype(np.float64)
-    h, w = x.shape
-    k = SSIM_WINDOW
-    if h < k or w < k:
-        return x[None]
-    bh, bw = h // k, w // k
-    return x[: bh * k, : bw * k].reshape(bh, k, bw, k).transpose(0, 2, 1, 3).reshape(-1, k, k)
 
 
 def format_float(x: float) -> str:

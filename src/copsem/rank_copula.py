@@ -18,6 +18,7 @@ import numpy as np
 from .image_io import U8, GrayImage
 
 SERIAL_VERSION = 1
+_BLOCK = 1 << 16  # codes per block of the per-pixel counts and lookups
 
 
 class Displacement(NamedTuple):
@@ -211,23 +212,31 @@ def _reject_json_constant(token: str):
     raise ValueError(f"non-finite number {token} in family JSON")
 
 
+def _row_blocks(rows: int, cols: int):
+    """Slices of whole rows, about _BLOCK codes each or one row: np.bincount and
+    np.take copy their indices to intp, and a block's copy stays in cache."""
+    step = max(1, _BLOCK // cols)
+    return (slice(r, r + step) for r in range(0, rows, step))
+
+
 def _midranks(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """(inverse, u): u holds midrank / (N + 1) of each distinct pixel value,
     midrank = mean rank over ties (1..N), and u[inverse] is the per-pixel
-    rank. u8 images count their values with bincount instead of sorting."""
-    px = img.pixels.ravel()
+    rank, (height, width). u8 images count their values instead of sorting."""
+    px = img.pixels
     if img.domain == U8:
-        inverse, counts = px, np.bincount(px, minlength=256)
+        inverse = px
+        counts = sum(np.bincount(px[s].ravel(), minlength=256) for s in _row_blocks(*px.shape))
     else:
-        _, inverse, counts = np.unique(px, return_inverse=True, return_counts=True)
+        _, inverse, counts = np.unique(px.ravel(), return_inverse=True, return_counts=True)
     cum = np.cumsum(counts)
-    return inverse, 0.5 * (cum + (cum - counts) + 1) / (px.size + 1)
+    return inverse.reshape(px.shape), 0.5 * (cum + (cum - counts) + 1) / (px.size + 1)
 
 
 def rank_transform(img: GrayImage) -> RankField:
     """Map pixels to u = midrank / (N + 1), midrank = mean rank over ties (1..N)."""
     inverse, u = _midranks(img)
-    return RankField(img.width, img.height, u[inverse].reshape(img.height, img.width))
+    return RankField(img.width, img.height, u[inverse])
 
 
 def _bin_of(u: np.ndarray, bins: int) -> np.ndarray:
@@ -279,7 +288,10 @@ def _pair_copula(cell: np.ndarray, delta: Displacement, bins: int, stride: int) 
     dx, dy = delta
     i = cell[ys.start : ys.stop : stride, xs.start : xs.stop : stride]
     j = cell[ys.start + dy : ys.stop + dy : stride, xs.start + dx : xs.stop + dx : stride]
-    counts = np.bincount((i * bins + j).ravel(), minlength=bins * bins)
+    counts = sum(
+        np.bincount((i[s] * bins + j[s]).ravel(), minlength=bins * bins)
+        for s in _row_blocks(*i.shape)
+    )
     cells = counts.reshape(bins, bins) / n_pairs
     return EmpiricalCopula(bins, cells, int(n_pairs))
 
@@ -296,7 +308,10 @@ def extract_family(
     """
     deltas = tuple(Displacement(*d) for d in deltas)
     inverse, u = _midranks(img)
-    cell = _bin_of(u, bins)[inverse].reshape(img.height, img.width)
+    table = _bin_of(u, bins)
+    cell = np.empty(inverse.shape, table.dtype)
+    for s in _row_blocks(*inverse.shape):
+        np.take(table, inverse[s], out=cell[s])
     copulas = [_pair_copula(cell, d, bins, stride) for d in deltas]
     cells = np.asarray([c.cells for c in copulas])
     return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)

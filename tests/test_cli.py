@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from copsem.cli import main
+from copsem.cli import _parser, main
 from copsem.harness import ExperimentConfig, run_channel_sweep, synthetic_corpus
 from copsem.image_io import synth_gradient, synth_noise, write_pgm
 from copsem.rank_copula import CopulaFamily
@@ -203,6 +203,19 @@ def test_extract_honors_bins_and_delta_flags(tmp_path, capsys):
     fam = CopulaFamily.from_json(open(line, encoding="utf-8").read())
     assert fam.cells.shape == (2, 4, 4)
     assert [(d.dx, d.dy) for d in fam.deltas] == [(1, 0), (0, 2)]
+
+
+def test_reused_parser_resets_repeatable_flags(tmp_path, capsys):
+    assert _parser() is _parser()
+    paths = _write_corpus(tmp_path, count=1)
+    for flags, n_deltas in ((["--delta", "2,0", "--delta", "0,2"], 2), ([], 4)):
+        assert main(["extract", "--out", str(tmp_path / "out"), *flags, *paths]) == 0
+        line = capsys.readouterr().out.strip()
+        assert len(CopulaFamily.from_json(open(line, encoding="utf-8").read()).deltas) == n_deltas
+    for command, flag, name in (("channel", "--ber", "bers"), ("sla-pipeline", "--T", "T_grid")):
+        given = _parser().parse_args([command, flag, "0.5", flag, "0.25"])
+        assert getattr(given, name) == [0.5, 0.25]
+        assert getattr(_parser().parse_args([command]), name) is None
 
 
 def test_dpc_on_identical_images_reports_zero(tmp_path, capsys):

@@ -372,18 +372,38 @@ def _ssim_window_loop(a: GrayImage, b: GrayImage) -> float:
     return float(np.mean(vals))
 
 
-@pytest.mark.parametrize(
-    "shape", [(1, 1), (1, 9), (7, 7), (3, 1001), (1200, 5), (8, 8), (13, 21), (64, 64), (97, 130)]
-)
-def test_ssim_matches_window_loop(rng, shape):
+PIXEL_SHAPES = [(1, 1), (1, 9), (7, 7), (3, 1001), (1200, 5), (8, 8), (13, 21), (64, 64), (97, 130)]
+
+
+def _pixel_pairs(rng, shape):
+    """Random, near and flat partners of a random image, then the saturated
+    pairs: all 0 against all 255, and a 0/255 checkerboard against both and
+    against its negative."""
     h, w = shape
-    a = GrayImage(w, h, rng.integers(0, 256, shape))
-    near = GrayImage(w, h, np.clip(a.pixels + rng.integers(-20, 21, shape), 0, 255))
-    far = GrayImage(w, h, rng.integers(0, 256, shape))
-    flat = GrayImage(w, h, np.full(shape, 77))
-    for b in (near, far, flat):
+    a = rng.integers(0, 256, shape)
+    near = np.clip(a + rng.integers(-20, 21, shape), 0, 255)
+    checker = 255 * (np.add.outer(np.arange(h), np.arange(w)) % 2)
+    zero, full = np.zeros(shape, int), np.full(shape, 255)
+    pairs = [(a, near), (a, rng.integers(0, 256, shape)), (a, np.full(shape, 77))]
+    pairs += [(zero, full), (checker, zero), (checker, full), (checker, 255 - checker)]
+    return [(GrayImage(w, h, x), GrayImage(w, h, y)) for x, y in pairs]
+
+
+@pytest.mark.parametrize("shape", PIXEL_SHAPES)
+def test_ssim_matches_window_loop(rng, shape):
+    for a, b in _pixel_pairs(rng, shape):
         assert ssim(a, b) == _ssim_window_loop(a, b), shape
+    flat = GrayImage(shape[1], shape[0], np.full(shape, 77))
     assert ssim(flat, flat) == _ssim_window_loop(flat, flat) == 1.0
+
+
+@pytest.mark.parametrize("shape", PIXEL_SHAPES)
+def test_psnr_matches_float_formula(rng, shape):
+    for a, b in _pixel_pairs(rng, shape):
+        diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
+        mse = float(np.mean(diff * diff))
+        want = math.inf if mse == 0.0 else 10.0 * math.log10(255.0 * 255.0 / mse)
+        assert psnr(a, b) == want, shape
 
 
 def test_format_float():

@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 
 from copsem.image_io import REAL, GrayImage, synth_gradient, synth_noise
 from copsem.rank_copula import (
+    _BLOCK,
     DEFAULT_DELTAS,
     CopulaFamily,
     Displacement,
@@ -46,7 +47,9 @@ def test_rank_open_interval(rng):
     assert np.all(field.u > 0.0) and np.all(field.u < 1.0)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 48), (200, 3)])
+# (300, 300) and (3, 70000) cross blocks of the value count: a ragged last
+# block, and one row per block
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 48), (200, 3), (300, 300), (3, 70000)])
 def test_rank_matches_scipy_average_ranks(rng, shape):
     heavy_ties = rng.integers(100, 104, shape)  # four codes, so nearly every pixel is tied
     full_range = rng.integers(0, 256, shape)
@@ -93,6 +96,26 @@ def _stacked_family(img, deltas, bins, stride):
     copulas = [extract_copula(field, d, bins, stride) for d in deltas]
     cells = [c.cells for c in copulas]
     return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
+
+
+# 300 x 300 has a ragged last block of rows; 70000 columns make one row a
+# block, and 7 rows leave anchors for (0, -4) at stride 3
+@pytest.mark.parametrize("shape", [(300, 300), (7, 70000)])
+@pytest.mark.parametrize("bins", [8, 17])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_blocked_counts_match_gather_reference(shape, bins, stride):
+    h, w = shape
+    assert h * w > _BLOCK
+    deltas = [Displacement(*d) for d in ((1, 0), (0, 1), (3, -2), (0, -4), (-1, 5))]
+    u8 = synth_noise(w, h, 13)
+    for img in (u8, GrayImage(w, h, u8.pixels * 0.37 - 1.5, domain=REAL)):
+        fam = extract_family(img, deltas, bins, stride)
+        assert fam == _stacked_family(img, deltas, bins, stride)
+        field = rank_transform(img)
+        for d, cells, n_pairs in zip(deltas, fam.cells, fam.n_pairs):
+            counts, want_pairs = _gather_counts(field.u, d, bins, stride)
+            assert n_pairs == want_pairs, d
+            assert np.array_equal(cells, counts / n_pairs), d
 
 
 def _tied_image(shape, real, levels, seed):
