@@ -13,6 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .image_io import _in_range
 from .metrics import LN2, SQRT_LN2
 
 # per-cell rounding error alpha/2 -> L1 error <= B^2 * alpha / 2. The step
@@ -22,16 +23,6 @@ from .metrics import LN2, SQRT_LN2
 # into an empty cell costs linearly in TV, not quadratically). The budget
 # is therefore a design target, enforced empirically with a hard gate at 2x.
 ENC_BOUND_COEFF = SQRT_LN2 / 4.0
-
-
-def _in_range(name: str, value, lo, hi, ends: str = "[]") -> None:
-    """The one range rule: raise ValueError unless value lies between lo and
-    hi, each end closed where ends has "[" or "]" and open where it has "("
-    or ")". NaN lies in no interval."""
-    above = value >= lo if ends[0] == "[" else value > lo
-    below = value <= hi if ends[1] == "]" else value < hi
-    if not (above and below):
-        raise ValueError(f"{name} must be in {ends[0]}{lo!r}, {hi!r}{ends[1]}, got {value!r}")
 
 
 def nominal_d(n_deltas: int, bins: int) -> int:

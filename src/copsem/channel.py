@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _in_range
 from .codec import QuantizedFamily, _dequantize_rows, _unpack_rows, dequantize, pack
+from .image_io import _in_range
 from .metrics import _d_pc_batch
 from .rank_copula import _check_masses
 

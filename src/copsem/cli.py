@@ -34,7 +34,7 @@ from .harness import (
     run_sla_pipeline,
     run_sla_surface,
 )
-from .image_io import read_pgm
+from .image_io import _load_pgm
 from .metrics import d_pc, psnr, ssim
 from .rank_copula import CopulaFamily, Displacement, extract_family
 
@@ -119,8 +119,7 @@ def _load_family(path: str, cfg: ExperimentConfig):
     if path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
             return CopulaFamily.from_json(fh.read()), None
-    with open(path, "rb") as fh:
-        img = read_pgm(fh.read())
+    _, img = _load_pgm(path)
     return extract_family(img, cfg.deltas, cfg.bins, cfg.stride), img
 
 
@@ -128,10 +127,8 @@ def _cmd_extract(args, cfg: ExperimentConfig) -> None:
     """image -> copula family JSON"""
     os.makedirs(cfg.out_dir, exist_ok=True)
     for path in args.images:
-        with open(path, "rb") as fh:
-            img = read_pgm(fh.read())
+        stem, img = _load_pgm(path)
         fam = extract_family(img, cfg.deltas, cfg.bins, cfg.stride)
-        stem = os.path.splitext(os.path.basename(path))[0]
         out_path = os.path.join(cfg.out_dir, f"{stem}.family.json")
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(fam.to_json())

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _in_range, enc_distortion_bound, rate_achievability
+from .bounds import enc_distortion_bound, rate_achievability
+from .image_io import _in_range
 from .metrics import d_pc
 from .rank_copula import CopulaFamily, Displacement
 

@@ -23,7 +23,6 @@ from .bounds import (
     DecoderModel,
     EncoderModel,
     SlaBudget,
-    _in_range,
     fit_encoder_model,
     nominal_d,
     r_min,
@@ -34,7 +33,7 @@ from .bounds import (
 )
 from .channel import ber_experiment, trial_seed
 from .codec import RdPoint, dequantize, quantize, rd_sweep
-from .image_io import U8, GrayImage, read_pgm
+from .image_io import U8, GrayImage, _in_range, _load_pgm
 from .metrics import _d_pc_batch, d_pc, format_float, psnr, ssim
 from .rank_copula import (
     DEFAULT_BINS,
@@ -181,13 +180,7 @@ def _texture(seed: int, k: int, size: int, sigma: float, fine_noise: float) -> G
 def load_corpus(cfg: ExperimentConfig) -> list[tuple[str, GrayImage]]:
     if not cfg.corpus:
         return synthetic_corpus(seed=cfg.seed)
-    out = []
-    for path in cfg.corpus:
-        with open(path, "rb") as fh:
-            img = read_pgm(fh.read())
-        name = os.path.splitext(os.path.basename(path))[0]
-        out.append((name, img))
-    return out
+    return [_load_pgm(path) for path in cfg.corpus]
 
 
 def _cell(v) -> str:

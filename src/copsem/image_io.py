@@ -9,12 +9,24 @@ requantization step (see transforms.requantize).
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 U8 = "u8"
 REAL = "real"
+
+
+def _in_range(name: str, value, lo, hi, ends: str = "[]") -> None:
+    """The one range rule: raise ValueError unless value lies between lo and
+    hi, each end closed where ends has "[" or "]" and open where it has "("
+    or ")". NaN lies in no interval."""
+    above = value >= lo if ends[0] == "[" else value > lo
+    below = value <= hi if ends[1] == "]" else value < hi
+    if not (above and below):
+        raise ValueError(f"{name} must be in {ends[0]}{lo!r}, {hi!r}{ends[1]}, got {value!r}")
 
 
 class PgmError(ValueError):
@@ -55,8 +67,8 @@ class GrayImage:
     domain: str = U8
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"dimensions must be >= 1, got {self.width}x{self.height}")
+        _in_range("width", self.width, 1, math.inf, "[)")
+        _in_range("height", self.height, 1, math.inf, "[)")
         if self.domain not in (U8, REAL):
             raise ValueError(f"unknown pixel domain {self.domain!r}")
         px = np.asarray(self.pixels)
@@ -73,13 +85,13 @@ class GrayImage:
             )
         px = px.reshape(self.height, self.width)
         if self.domain == U8:
-            arr = np.asarray(px)
-            if not np.issubdtype(arr.dtype, np.integer):
-                if not np.all(arr == np.round(arr)):
-                    raise DomainError("u8 image requires integer pixel values")
-            if arr.min() < 0 or arr.max() > 255:
-                raise DomainError("u8 image requires pixel values in [0, 255]")
-            px = px.astype(np.uint8)
+            if px.dtype != np.uint8:  # a uint8 array holds only valid values
+                if not np.issubdtype(px.dtype, np.integer):
+                    if not np.all(px == np.round(px)):
+                        raise DomainError("u8 image requires integer pixel values")
+                if px.min() < 0 or px.max() > 255:
+                    raise DomainError("u8 image requires pixel values in [0, 255]")
+            px = px.astype(np.uint8)  # a copy: the image never aliases the caller's buffer
         else:
             px = px.astype(np.float64)
             if not np.all(np.isfinite(px)):
@@ -134,15 +146,20 @@ def read_pgm(data: bytes) -> GrayImage:
         raise PgmDimensionError(f"invalid dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
         raise PgmMaxvalError(f"maxval {maxval} outside [1, 255]")
-    payload = data[pos : pos + width * height]
-    if len(payload) < width * height:
-        raise PgmTruncatedError(
-            f"payload holds {len(payload)} bytes, needs {width * height}"
-        )
-    px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    if px.max() > maxval:
-        raise PgmPixelError(f"pixel value {px.max()} exceeds maxval {maxval}")
-    return GrayImage(width, height, px.copy(), U8)
+    if n - pos < width * height:
+        raise PgmTruncatedError(f"payload holds {n - pos} bytes, needs {width * height}")
+    px = np.frombuffer(data, np.uint8, width * height, pos)
+    top = px.max()
+    if top > maxval:
+        raise PgmPixelError(f"pixel value {top} exceeds maxval {maxval}")
+    return GrayImage(width, height, px, U8)
+
+
+def _load_pgm(path: str) -> tuple[str, GrayImage]:
+    """(stem, image) of the binary PGM file at path; the stem names the image."""
+    with open(path, "rb") as fh:
+        img = read_pgm(fh.read())
+    return os.path.splitext(os.path.basename(path))[0], img
 
 
 def write_pgm(img: GrayImage) -> bytes:

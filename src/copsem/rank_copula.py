@@ -10,12 +10,13 @@ leaves the family bit-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .image_io import U8, GrayImage
+from .image_io import U8, GrayImage, _in_range
 
 SERIAL_VERSION = 1
 _BLOCK = 1 << 16  # codes per block of the per-pixel counts and lookups
@@ -88,10 +89,8 @@ class EmpiricalCopula:
     n_pairs: int
 
     def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
-        if self.n_pairs < 0:
-            raise ValueError("n_pairs must be >= 0")
+        _in_range("bins", self.bins, 1, math.inf, "[)")
+        _in_range("n_pairs", self.n_pairs, 0, math.inf, "[)")
         arr = np.array(self.cells, dtype=np.float64)
         if arr.shape != (self.bins, self.bins):
             raise ValueError(f"cells shape {arr.shape} != ({self.bins}, {self.bins})")
@@ -138,8 +137,7 @@ class CopulaFamily:
         n_pairs = tuple(int(n) for n in self.n_pairs)
         if len(n_pairs) != len(deltas) or min(n_pairs) < 0:
             raise ValueError(f"n_pairs {n_pairs} must hold one count >= 0 per displacement")
-        if self.stride < 0:
-            raise ValueError("stride must be >= 0")
+        _in_range("stride", self.stride, 0, math.inf, "[)")
         arr.flags.writeable = False
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "cells", arr)
@@ -242,8 +240,7 @@ def rank_transform(img: GrayImage) -> RankField:
 def _bin_of(u: np.ndarray, bins: int) -> np.ndarray:
     """Bin min(floor(u * B), B - 1) of each u, in the smallest unsigned dtype
     that holds every cell code i * B + j (uint8 up to B = 16)."""
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2 for estimation, got {bins}")
+    _in_range("bins", bins, 2, math.inf, "[)")
     return np.minimum((u * bins).astype(np.min_scalar_type(bins * bins - 1)), bins - 1)
 
 
@@ -272,8 +269,7 @@ def extract_copula(
 
 def _pair_copula(cell: np.ndarray, delta: Displacement, bins: int, stride: int) -> EmpiricalCopula:
     """extract_copula on the (height, width) bin map cell = _bin_of(u, bins)."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    _in_range("stride", stride, 1, math.inf, "[)")
     if delta == (0, 0):
         raise ValueError("displacement (0, 0) is degenerate")
     height, width = cell.shape
@@ -319,8 +315,7 @@ def extract_family(
 
 def coarsen(copula: EmpiricalCopula, factor: int) -> EmpiricalCopula:
     """Merge factor x factor blocks of cells. factor must divide bins."""
-    if factor < 2:
-        raise ValueError(f"factor must be >= 2, got {factor}")
+    _in_range("factor", factor, 2, math.inf, "[)")
     if copula.bins % factor != 0:
         raise ValueError(f"factor {factor} does not divide bins {copula.bins}")
     nb = copula.bins // factor

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.fft
 from scipy.ndimage import convolve1d
 
-from .image_io import REAL, U8, GrayImage
+from .image_io import REAL, U8, GrayImage, _in_range
 
 BRIGHTNESS = "brightness"
 CONTRAST = "contrast"
@@ -28,7 +28,17 @@ DCTQ = "dctq"
 
 _DOMAIN_TOKENS = {"real": REAL, "requant": U8}
 _HONORS_DOMAIN = {BRIGHTNESS, CONTRAST, GAMMA, BLUR}
-_PARAM_COUNTS = {BRIGHTNESS: 1, CONTRAST: 2, GAMMA: 1, BLUR: 2, AWGN: 2, DCTQ: 1}
+_ANY = (-math.inf, math.inf, "()")
+_POSITIVE = (0.0, math.inf, "()")
+# each kind's parameters in order, as the (name, lo, hi, ends) of _in_range
+_PARAMS = {
+    BRIGHTNESS: (("brightness offset", *_ANY),),
+    CONTRAST: (("contrast scale", *_POSITIVE), ("contrast bias", *_ANY)),
+    GAMMA: (("gamma exponent", *_POSITIVE),),
+    BLUR: (("blur kernel size", 1, math.inf, "[)"), ("blur sigma", *_POSITIVE)),
+    AWGN: (("awgn sigma", 0.0, math.inf, "[)"), ("awgn seed", 0, math.inf, "[)")),
+    DCTQ: (("dctq quality", 1, 100, "[]"),),
+}
 
 
 def _num(v) -> str:
@@ -47,33 +57,19 @@ class TransformSpec:
     domain: str = U8
 
     def __post_init__(self):
-        if self.kind not in _PARAM_COUNTS:
+        if self.kind not in _PARAMS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        if len(self.params) != _PARAM_COUNTS[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {_PARAM_COUNTS[self.kind]} params, got {len(self.params)}"
-            )
+        rules = _PARAMS[self.kind]
+        if len(self.params) != len(rules):
+            raise ValueError(f"{self.kind} takes {len(rules)} params, got {len(self.params)}")
         if self.domain not in (U8, REAL):
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.domain == REAL and self.kind not in _HONORS_DOMAIN:
             raise ValueError(f"{self.kind} output is always requantized")
-        p = self.params
-        if self.kind == CONTRAST and float(p[0]) <= 0.0:
-            raise ValueError(f"contrast scale must be > 0, got {p[0]!r}")
-        if self.kind == GAMMA and float(p[0]) <= 0.0:
-            raise ValueError(f"gamma exponent must be > 0, got {p[0]!r}")
-        if self.kind == BLUR:
-            k = int(p[0])
-            if k < 1 or k % 2 == 0:
-                raise ValueError(f"blur kernel size must be odd and >= 1, got {p[0]!r}")
-            if float(p[1]) <= 0.0:
-                raise ValueError(f"blur sigma must be > 0, got {p[1]!r}")
-        if self.kind == AWGN and float(p[0]) < 0.0:
-            raise ValueError(f"awgn sigma must be >= 0, got {p[0]!r}")
-        if self.kind == DCTQ:
-            q = int(p[0])
-            if not 1 <= q <= 100:
-                raise ValueError(f"dctq quality must be in [1, 100], got {p[0]!r}")
+        for value, (name, *interval) in zip(self.params, rules):
+            _in_range(name, value, *interval)
+        if self.kind == BLUR and self.params[0] % 2 != 1:
+            raise ValueError(f"blur kernel size must be odd, got {self.params[0]!r}")
 
     def canonical(self) -> str:
         parts = [self.kind] + [_num(v) for v in self.params]
@@ -84,7 +80,7 @@ class TransformSpec:
     @classmethod
     def parse(cls, text: str) -> "TransformSpec":
         parts = text.strip().split(":")
-        if not parts or parts[0] not in _PARAM_COUNTS:
+        if not parts or parts[0] not in _PARAMS:
             raise ValueError(f"unknown transform kind in {text!r}")
         kind = parts[0]
         rest = parts[1:]
@@ -92,8 +88,8 @@ class TransformSpec:
         if kind in _HONORS_DOMAIN and rest and rest[-1] in _DOMAIN_TOKENS:
             domain = _DOMAIN_TOKENS[rest[-1]]
             rest = rest[:-1]
-        if len(rest) != _PARAM_COUNTS[kind]:
-            raise ValueError(f"{kind} takes {_PARAM_COUNTS[kind]} params: {text!r}")
+        if len(rest) != len(_PARAMS[kind]):
+            raise ValueError(f"{kind} takes {len(_PARAMS[kind])} params: {text!r}")
         try:
             params = tuple(float(v) for v in rest)
         except ValueError:
@@ -116,15 +112,15 @@ def gamma(g: float, domain: str = U8) -> TransformSpec:
 def blur(kernel: int, sigma: float | None = None, domain: str = U8) -> TransformSpec:
     if sigma is None:
         sigma = kernel / 6.0
-    return TransformSpec(BLUR, (int(kernel), float(sigma)), domain)
+    return TransformSpec(BLUR, (kernel, float(sigma)), domain)
 
 
 def awgn(sigma: float, seed: int) -> TransformSpec:
-    return TransformSpec(AWGN, (float(sigma), int(seed)), U8)
+    return TransformSpec(AWGN, (float(sigma), seed), U8)
 
 
 def block_dct_quant(quality: int) -> TransformSpec:
-    return TransformSpec(DCTQ, (int(quality),), U8)
+    return TransformSpec(DCTQ, (quality,), U8)
 
 
 def monotone_check(spec: TransformSpec) -> bool:

@@ -66,6 +66,8 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
     no_cells = tmp_path / "no_cells.json"
     no_cells.write_text(fam_json.replace('"cells"', '"cellz"'))
     paths = _write_corpus(tmp_path, count=1)
+    smaller = tmp_path / "smaller.pgm"
+    smaller.write_bytes(write_pgm(synth_noise(16, 12, 1)))
     missing = str(tmp_path / "missing.json")
     bad_configs = []
     for i, doc in enumerate(
@@ -86,6 +88,8 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
     for argv in (
         *bad_configs,
         ["extract", "--out", str(tmp_path / "out"), str(tiny)],
+        ["extract", "--out", str(tmp_path / "out"), str(not_pgm)],
+        ["extract", "--out", str(tmp_path / "out"), str(tmp_path / "gone.pgm")],
         ["dpc", missing, str(fam)],
         ["dpc", "--config", str(tmp_path / "nope.json"), str(fam), str(fam)],
         ["axioms", "--out", str(tmp_path / "out"), "--corpus", str(tmp_path / "gone.pgm")],
@@ -93,6 +97,7 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
         ["dpc", str(no_cells), str(no_cells)],
         ["dpc", str(not_pgm), paths[0]],
         ["dpc", str(fam), paths[0]],  # bins 2 vs 8: incomparable
+        ["dpc", paths[0], str(smaller)],  # psnr and ssim need equal dimensions
         ["concentration", "--ctrials", "0"],  # used to end in a ZeroDivisionError traceback
         ["concentration", "--ctrials", "-3"],  # used to report observed=-0.0 and exit 1
         ["concentration", "--control-n", "0"],  # this and --t inf used to write nan

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -55,9 +57,47 @@ def test_bad_dimensions():
         read_pgm(b"P5\n0 4\n255\n")
 
 
+@pytest.mark.parametrize("name, at", [("width", 0), ("height", 1)])
+def test_dimensions_outside_their_range_raise(name, at):
+    for bad in (math.nan, math.inf, -math.inf, 0):
+        dims = [2, 2]
+        dims[at] = bad
+        with pytest.raises(ValueError) as info:
+            GrayImage(*dims, np.zeros((2, 2), dtype=np.uint8))
+        assert str(info.value) == f"{name} must be in [1, inf), got {bad!r}"
+
+
 def test_truncated_payload():
     with pytest.raises(PgmTruncatedError):
         read_pgm(b"P5\n2 2\n255\n\x01\x02\x03")
+
+
+def test_read_pgm_copies_the_payload():
+    data = bytearray(b"P5\n3 2\n255\n" + bytes(range(6)))
+    img = read_pgm(data)
+    data[-6:] = bytes(6 * [9])
+    assert img.pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+    with pytest.raises(ValueError):
+        img.pixels[0, 0] = 3
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        (b"P6\n1 1\n255\n\x00", PgmHeaderError, "not a binary PGM stream (magic != P5)"),
+        (b"P5 2 2", PgmHeaderError, "header ended before width/height/maxval"),
+        (b"P5 2 x 9 ", PgmHeaderError, "non-integer header token b'x'"),
+        (b"P5 1 1 255", PgmHeaderError, "missing whitespace after maxval"),
+        (b"P5\n0 4\n255\n", PgmDimensionError, "invalid dimensions 0x4"),
+        (b"P5\n1 1\n65535\n\x00\x00", PgmMaxvalError, "maxval 65535 outside [1, 255]"),
+        (b"P5\n2 2\n255\n\x01\x02\x03", PgmTruncatedError, "payload holds 3 bytes, needs 4"),
+        (b"P5 2 2 10 " + bytes([0, 5, 200, 255]), PgmPixelError, "pixel value 255 exceeds maxval 10"),
+    ],
+)
+def test_read_pgm_error_types_and_messages(data, error, message):
+    with pytest.raises(PgmError) as info:
+        read_pgm(data)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_pixel_above_maxval():

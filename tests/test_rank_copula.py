@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 
@@ -159,9 +160,9 @@ def test_family_equals_stacked_copulas(shape, real, levels, seed, deltas, bins, 
 @pytest.mark.parametrize(
     "bins, stride, deltas, error, message",
     [
-        (1, 0, [(0, 0), (9, 0)], ValueError, "bins must be >= 2 for estimation, got 1"),
-        (-1, 1, [(1, 0)], ValueError, "bins must be >= 2 for estimation, got -1"),
-        (17, 0, [(0, 0), (9, 0)], ValueError, "stride must be >= 1, got 0"),
+        (1, 0, [(0, 0), (9, 0)], ValueError, "bins must be in [2, inf), got 1"),
+        (-1, 1, [(1, 0)], ValueError, "bins must be in [2, inf), got -1"),
+        (17, 0, [(0, 0), (9, 0)], ValueError, "stride must be in [1, inf), got 0"),
         (17, 1, [(1, 0), (0, 0), (9, 0)], ValueError, "displacement (0, 0) is degenerate"),
         (
             2,
@@ -325,6 +326,43 @@ def test_coarsen_bad_factor():
         coarsen(cop, 3)
     with pytest.raises(ValueError):
         coarsen(cop, 1)
+
+
+_IMG = synth_noise(6, 5, 3)
+_UNIFORM = np.full((2, 2), 0.25)
+
+# (build from the value, name, accepted interval, an out-of-range finite value)
+SCALAR_RANGES = [
+    (lambda v: extract_family(_IMG, (RIGHT,), v), "bins", "[2, inf)", 1),
+    (lambda v: extract_copula(rank_transform(_IMG), RIGHT, v), "bins", "[2, inf)", -1),
+    (lambda v: EmpiricalCopula(v, _UNIFORM, 0), "bins", "[1, inf)", 0),
+    (lambda v: EmpiricalCopula(2, _UNIFORM, v), "n_pairs", "[0, inf)", -1),
+    (lambda v: extract_family(_IMG, (RIGHT,), 2, v), "stride", "[1, inf)", 0),
+    (lambda v: extract_copula(rank_transform(_IMG), RIGHT, 2, v), "stride", "[1, inf)", 0),
+    (lambda v: CopulaFamily((RIGHT,), _UNIFORM[None], (0,), v), "stride", "[0, inf)", -1),
+    (lambda v: coarsen(EmpiricalCopula(2, _UNIFORM, 0), v), "factor", "[2, inf)", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "build, name, interval, outside",
+    SCALAR_RANGES,
+    ids=[
+        "extract_family-bins",
+        "extract_copula-bins",
+        "EmpiricalCopula-bins",
+        "EmpiricalCopula-n_pairs",
+        "extract_family-stride",
+        "extract_copula-stride",
+        "CopulaFamily-stride",
+        "coarsen-factor",
+    ],
+)
+def test_scalar_parameters_outside_their_range_raise(build, name, interval, outside):
+    for bad in (math.nan, math.inf, -math.inf, outside):
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{name} must be in {interval}, got {bad!r}"
 
 
 def test_serialization_roundtrip():

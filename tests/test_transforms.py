@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +53,47 @@ def test_parse_rejects_junk():
         TransformSpec.parse("sharpen:3")
     with pytest.raises(ValueError):
         TransformSpec.parse("brightness")
+
+
+# (builder, valid params, index of the bad one, name, accepted interval, an
+# out-of-range finite value or None where every finite value is accepted)
+PARAM_RANGES = [
+    (brightness, (80.0,), 0, "brightness offset", "(-inf, inf)", None),
+    (contrast, (1.5, 0.0), 0, "contrast scale", "(0.0, inf)", 0.0),
+    (contrast, (1.5, 0.0), 1, "contrast bias", "(-inf, inf)", None),
+    (gamma, (0.5,), 0, "gamma exponent", "(0.0, inf)", -1.0),
+    (blur, (7, 1.0), 0, "blur kernel size", "[1, inf)", -1),
+    (blur, (7, 1.0), 1, "blur sigma", "(0.0, inf)", 0.0),
+    (awgn, (10.0, 7), 0, "awgn sigma", "[0.0, inf)", -1.0),
+    (awgn, (10.0, 7), 1, "awgn seed", "[0, inf)", -1),
+    (block_dct_quant, (20,), 0, "dctq quality", "[1, 100]", 101),
+]
+
+
+@pytest.mark.parametrize("builder, valid, at, name, interval, outside", PARAM_RANGES)
+def test_parameters_outside_their_range_fail_at_construction(
+    builder, valid, at, name, interval, outside
+):
+    kind = builder(*valid).kind
+    bad_values = [math.nan, math.inf, -math.inf] + ([] if outside is None else [outside])
+    for bad in bad_values:
+        params = list(valid)
+        params[at] = bad
+        with pytest.raises(ValueError) as info:
+            builder(*params)
+        assert str(info.value) == f"{name} must be in {interval}, got {bad!r}"
+        text = ":".join([kind] + [str(v) for v in params])
+        with pytest.raises(ValueError) as info:
+            TransformSpec.parse(text)
+        assert str(info.value) == f"{name} must be in {interval}, got {float(bad)!r}", text
+
+
+def test_blur_kernel_must_be_odd():
+    for kernel in (2, 8, 7.5):
+        with pytest.raises(ValueError, match=f"^blur kernel size must be odd, got {kernel}$"):
+            blur(kernel, 1.0)
+    with pytest.raises(ValueError, match=r"^blur kernel size must be odd, got 8\.0$"):
+        TransformSpec.parse("blur:8:1")
 
 
 def test_monotone_classification():
