@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -89,8 +90,8 @@ class EmpiricalCopula:
     n_pairs: int
 
     def __post_init__(self):
-        _in_range("bins", self.bins, 1, math.inf, "[)")
-        _in_range("n_pairs", self.n_pairs, 0, math.inf, "[)")
+        _in_range("bins", self.bins, 1, math.inf, "[)", integer=True)
+        _in_range("n_pairs", self.n_pairs, 0, math.inf, "[)", integer=True)
         arr = np.array(self.cells, dtype=np.float64)
         if arr.shape != (self.bins, self.bins):
             raise ValueError(f"cells shape {arr.shape} != ({self.bins}, {self.bins})")
@@ -137,7 +138,7 @@ class CopulaFamily:
         n_pairs = tuple(int(n) for n in self.n_pairs)
         if len(n_pairs) != len(deltas) or min(n_pairs) < 0:
             raise ValueError(f"n_pairs {n_pairs} must hold one count >= 0 per displacement")
-        _in_range("stride", self.stride, 0, math.inf, "[)")
+        _in_range("stride", self.stride, 0, math.inf, "[)", integer=True)
         arr.flags.writeable = False
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "cells", arr)
@@ -239,9 +240,9 @@ def rank_transform(img: GrayImage) -> RankField:
 
 def _bin_of(u: np.ndarray, bins: int) -> np.ndarray:
     """Bin min(floor(u * B), B - 1) of each u, in the smallest unsigned dtype
-    that holds every cell code i * B + j (uint8 up to B = 16)."""
-    _in_range("bins", bins, 2, math.inf, "[)")
-    return np.minimum((u * bins).astype(np.min_scalar_type(bins * bins - 1)), bins - 1)
+    that also holds the sentinel code B (uint8 up to B = 255)."""
+    _in_range("bins", bins, 2, math.inf, "[)", integer=True)
+    return np.minimum((u * bins).astype(np.min_scalar_type(bins)), bins - 1)
 
 
 def _anchor_range(extent: int, offset: int, stride: int) -> range:
@@ -263,33 +264,58 @@ def extract_copula(
     valid pair; stride >= 2 * max(|dx|, |dy|) + 1 makes the pairs disjoint
     (no pixel participates twice).
     """
-    delta = Displacement(*delta)
-    return _pair_copula(_bin_of(field.u, bins), delta, bins, stride)
+    cell = _bin_of(field.u, bins)
+    fill = partial(np.copyto, src=cell)
+    return _count_family(fill, cell.shape, [Displacement(*delta)], bins, stride)[0]
 
 
-def _pair_copula(cell: np.ndarray, delta: Displacement, bins: int, stride: int) -> EmpiricalCopula:
-    """extract_copula on the (height, width) bin map cell = _bin_of(u, bins)."""
-    _in_range("stride", stride, 1, math.inf, "[)")
-    if delta == (0, 0):
-        raise ValueError("displacement (0, 0) is degenerate")
-    height, width = cell.shape
-    xs = _anchor_range(width, delta.dx, stride)
-    ys = _anchor_range(height, delta.dy, stride)
-    n_pairs = len(xs) * len(ys)
-    if n_pairs == 0:
-        raise EmptySampleError(
-            f"no valid anchors for delta={tuple(delta)} stride={stride} "
-            f"on a {width}x{height} field"
-        )
-    dx, dy = delta
-    i = cell[ys.start : ys.stop : stride, xs.start : xs.stop : stride]
-    j = cell[ys.start + dy : ys.stop + dy : stride, xs.start + dx : xs.stop + dx : stride]
-    counts = sum(
-        np.bincount((i[s] * bins + j[s]).ravel(), minlength=bins * bins)
-        for s in _row_blocks(*i.shape)
+def _count_family(fill, shape, deltas, bins: int, stride: int) -> list[EmpiricalCopula]:
+    """One copula per displacement from the (height, width) bin map that
+    fill(out) writes into out, inside a border of the sentinel code bins
+    ("partner outside the image") as wide as some displacement reaches.
+
+    Each anchor gets one joint code: its own bin, then each partner's code
+    in base bins + 1, for a group of g displacements, g the largest with
+    bins * (bins + 1)^g <= max(bins * (bins + 1), min(_BLOCK, anchors // 8)).
+    One np.bincount per row block counts a group; each displacement's counts
+    are the histogram summed over the other partners, without the sentinel.
+    """
+    _in_range("stride", stride, 1, math.inf, "[)", integer=True)
+    height, width = shape
+    n_pairs = []
+    for d in deltas:
+        if d == (0, 0):
+            raise ValueError("displacement (0, 0) is degenerate")
+        xs, ys = _anchor_range(width, d.dx, stride), _anchor_range(height, d.dy, stride)
+        n_pairs.append(len(xs) * len(ys))
+        if n_pairs[-1] == 0:
+            raise EmptySampleError(
+                f"no valid anchors for delta={tuple(d)} stride={stride} "
+                f"on a {width}x{height} field"
+            )
+    dxs, dys = zip((0, 0), *deltas)
+    left, top, right, bottom = -min(dxs), -min(dys), max(dxs), max(dys)
+    padded = np.full((top + height + bottom, left + width + right), bins, np.min_scalar_type(bins))
+    fill(padded[top : top + height, left : left + width])
+    own, *partners = (
+        padded[top + dy : top + dy + height : stride, left + dx : left + dx + width : stride]
+        for dx, dy in ((0, 0), *deltas)
     )
-    cells = counts.reshape(bins, bins) / n_pairs
-    return EmpiricalCopula(bins, cells, int(n_pairs))
+    cap = max(bins * (bins + 1), min(_BLOCK, own.size // 8))
+    g = max(k for k in range(1, cap.bit_length()) if bins * (bins + 1) ** k <= cap)
+    counts = []
+    for group in (partners[k : k + g] for k in range(0, len(partners), g)):
+        axes = (bins,) + (bins + 1,) * len(group)
+        hist = np.zeros(math.prod(axes), np.int64)
+        for s in _row_blocks(*own.shape):
+            code = own[s].astype(np.min_scalar_type(hist.size - 1))
+            for partner in group:
+                code *= bins + 1
+                code += partner[s]
+            hist += np.bincount(code.ravel(), minlength=hist.size)
+        others = [tuple(b for b in range(1, len(axes)) if b != a) for a in range(1, len(axes))]
+        counts += [np.add.reduce(hist.reshape(axes), axis)[:, :bins] for axis in others]
+    return [EmpiricalCopula(bins, c / n, n) for c, n in zip(counts, n_pairs)]
 
 
 def extract_family(
@@ -298,24 +324,26 @@ def extract_family(
     bins: int = DEFAULT_BINS,
     stride: int = 1,
 ) -> CopulaFamily:
-    """Bin every distinct pixel value once, then count one copula per
-    displacement from the shared bin map; the same values as
+    """Bin every distinct pixel value once, then count all displacements
+    together from the shared bin map; the same values as
     extract_copula(rank_transform(img), delta, bins, stride) for each delta.
     """
     deltas = tuple(Displacement(*d) for d in deltas)
     inverse, u = _midranks(img)
     table = _bin_of(u, bins)
-    cell = np.empty(inverse.shape, table.dtype)
-    for s in _row_blocks(*inverse.shape):
-        np.take(table, inverse[s], out=cell[s])
-    copulas = [_pair_copula(cell, d, bins, stride) for d in deltas]
+
+    def fill(cell):
+        for s in _row_blocks(*inverse.shape):
+            np.take(table, inverse[s], out=cell[s])
+
+    copulas = _count_family(fill, inverse.shape, deltas, bins, stride)
     cells = np.asarray([c.cells for c in copulas])
     return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
 
 
 def coarsen(copula: EmpiricalCopula, factor: int) -> EmpiricalCopula:
     """Merge factor x factor blocks of cells. factor must divide bins."""
-    _in_range("factor", factor, 2, math.inf, "[)")
+    _in_range("factor", factor, 2, math.inf, "[)", integer=True)
     if copula.bins % factor != 0:
         raise ValueError(f"factor {factor} does not divide bins {copula.bins}")
     nb = copula.bins // factor

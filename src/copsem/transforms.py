@@ -30,14 +30,14 @@ _DOMAIN_TOKENS = {"real": REAL, "requant": U8}
 _HONORS_DOMAIN = {BRIGHTNESS, CONTRAST, GAMMA, BLUR}
 _ANY = (-math.inf, math.inf, "()")
 _POSITIVE = (0.0, math.inf, "()")
-# each kind's parameters in order, as the (name, lo, hi, ends) of _in_range
+# each kind's parameters in order, as the (name, lo, hi, ends[, integer]) of _in_range
 _PARAMS = {
     BRIGHTNESS: (("brightness offset", *_ANY),),
     CONTRAST: (("contrast scale", *_POSITIVE), ("contrast bias", *_ANY)),
     GAMMA: (("gamma exponent", *_POSITIVE),),
     BLUR: (("blur kernel size", 1, math.inf, "[)"), ("blur sigma", *_POSITIVE)),
-    AWGN: (("awgn sigma", 0.0, math.inf, "[)"), ("awgn seed", 0, math.inf, "[)")),
-    DCTQ: (("dctq quality", 1, 100, "[]"),),
+    AWGN: (("awgn sigma", 0.0, math.inf, "[)"), ("awgn seed", 0, math.inf, "[)", True)),
+    DCTQ: (("dctq quality", 1, 100, "[]", True),),
 }
 
 

@@ -67,6 +67,15 @@ def test_dimensions_outside_their_range_raise(name, at):
         assert str(info.value) == f"{name} must be in [1, inf), got {bad!r}"
 
 
+@pytest.mark.parametrize("name, at", [("width", 0), ("height", 1)])
+def test_dimensions_must_be_integers(name, at):
+    dims = [2, 2]
+    dims[at] = 2.5
+    with pytest.raises(ValueError) as info:
+        GrayImage(*dims, np.zeros(5, dtype=np.uint8))
+    assert str(info.value) == f"{name} must be an integer, got 2.5"
+
+
 def test_truncated_payload():
     with pytest.raises(PgmTruncatedError):
         read_pgm(b"P5\n2 2\n255\n\x01\x02\x03")

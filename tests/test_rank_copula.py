@@ -108,8 +108,14 @@ def test_blocked_counts_match_gather_reference(shape, bins, stride):
     h, w = shape
     assert h * w > _BLOCK
     deltas = [Displacement(*d) for d in ((1, 0), (0, 1), (3, -2), (0, -4), (-1, 5))]
-    u8 = synth_noise(w, h, 13)
-    for img in (u8, GrayImage(w, h, u8.pixels * 0.37 - 1.5, domain=REAL)):
+    _check_against_gather(synth_noise(w, h, 13), deltas, bins, stride)
+
+
+def _check_against_gather(u8, deltas, bins, stride):
+    """extract_family of u8 and of a REAL image in the same order equals both
+    the stacked extract_copula family and the gather reference."""
+    real = GrayImage(u8.width, u8.height, u8.pixels * 0.37 - 1.5, domain=REAL)
+    for img in (u8, real):
         fam = extract_family(img, deltas, bins, stride)
         assert fam == _stacked_family(img, deltas, bins, stride)
         field = rank_transform(img)
@@ -117,6 +123,49 @@ def test_blocked_counts_match_gather_reference(shape, bins, stride):
             counts, want_pairs = _gather_counts(field.u, d, bins, stride)
             assert n_pairs == want_pairs, d
             assert np.array_equal(cells, counts / n_pairs), d
+
+
+def _group_size(bins, anchors):
+    """Displacements per joint count: the largest g with bins * (bins + 1)^g
+    at most max(bins * (bins + 1), min(_BLOCK, anchors // 8))."""
+    cap = max(bins * (bins + 1), min(_BLOCK, anchors // 8))
+    return max(g for g in range(1, 64) if bins * (bins + 1) ** g <= cap)
+
+
+ROW = [Displacement(*d) for d in ((1, 0), (3, 0), (-2, 0), (-1, 0), (2, 0), (5, 0))]
+COLUMN = [Displacement(dy, dx) for dx, dy in ROW]
+SIX = [Displacement(*d) for d in ((1, 0), (0, 1), (1, 1), (1, -1), (-3, 2), (0, -3))]
+
+
+# (shape, bins, deltas, g at stride 1). bins 64 and up count one displacement
+# at a time, and 256 and 300 need uint32 joint codes; five and six
+# displacements at bins 8 split into groups; 1 x N and N x 1 images pad on
+# one axis only; on a 12 x 12 or 96 x 96 image the anchor count caps g
+GROUPED_CASES = [
+    ((60, 50), 2, SIX, 4),
+    ((300, 300), 16, SIX[:5], 2),
+    ((60, 50), 64, SIX, 1),
+    ((60, 50), 256, SIX[:4], 1),
+    ((60, 50), 300, SIX[:4], 1),
+    ((7, 70000), 8, SIX[:5], 4),
+    ((7, 70000), 8, SIX, 4),
+    ((1, 40000), 8, ROW, 2),
+    ((40000, 1), 5, COLUMN, 3),
+    ((12, 12), 8, SIX, 1),
+    ((96, 96), 8, SIX[:5], 2),
+]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize(
+    "shape, bins, deltas, g",
+    GROUPED_CASES,
+    ids=[f"{c[0]}-b{c[1]}-d{len(c[2])}" for c in GROUPED_CASES],
+)
+def test_grouped_counts_match_gather_reference(shape, bins, deltas, g, stride):
+    h, w = shape
+    assert _group_size(bins, h * w) == g
+    _check_against_gather(synth_noise(w, h, 29), deltas, bins, stride)
 
 
 def _tied_image(shape, real, levels, seed):
@@ -344,25 +393,35 @@ SCALAR_RANGES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "build, name, interval, outside",
-    SCALAR_RANGES,
-    ids=[
-        "extract_family-bins",
-        "extract_copula-bins",
-        "EmpiricalCopula-bins",
-        "EmpiricalCopula-n_pairs",
-        "extract_family-stride",
-        "extract_copula-stride",
-        "CopulaFamily-stride",
-        "coarsen-factor",
-    ],
-)
+SCALAR_RANGE_IDS = [
+    "extract_family-bins",
+    "extract_copula-bins",
+    "EmpiricalCopula-bins",
+    "EmpiricalCopula-n_pairs",
+    "extract_family-stride",
+    "extract_copula-stride",
+    "CopulaFamily-stride",
+    "coarsen-factor",
+]
+
+
+@pytest.mark.parametrize("build, name, interval, outside", SCALAR_RANGES, ids=SCALAR_RANGE_IDS)
 def test_scalar_parameters_outside_their_range_raise(build, name, interval, outside):
     for bad in (math.nan, math.inf, -math.inf, outside):
         with pytest.raises(ValueError) as info:
             build(bad)
         assert str(info.value) == f"{name} must be in {interval}, got {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "build, name, interval", [case[:3] for case in SCALAR_RANGES], ids=SCALAR_RANGE_IDS
+)
+def test_integer_parameters_reject_fractions(build, name, interval):
+    fraction = int(interval[1]) + 0.5  # inside the interval, so only the integer check fails
+    for bad in (fraction, np.float64(fraction)):
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{name} must be an integer, got {bad!r}"
 
 
 def test_serialization_roundtrip():

@@ -88,6 +88,22 @@ def test_parameters_outside_their_range_fail_at_construction(
         assert str(info.value) == f"{name} must be in {interval}, got {float(bad)!r}", text
 
 
+@pytest.mark.parametrize(
+    "builder, valid, at, name",
+    [(awgn, (10.0, 7), 1, "awgn seed"), (block_dct_quant, (20,), 0, "dctq quality")],
+)
+def test_integer_parameters_reject_fractions(builder, valid, at, name):
+    params = list(valid)
+    params[at] = valid[at] + 0.5
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {params[at]}$"):
+        builder(*params)
+    text = ":".join([builder(*valid).kind] + [str(v) for v in params])
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {params[at]}$"):
+        TransformSpec.parse(text)
+    whole = ":".join([builder(*valid).kind] + [f"{float(v)}" for v in valid])
+    assert TransformSpec.parse(whole).canonical() == builder(*valid).canonical()
+
+
 def test_blur_kernel_must_be_odd():
     for kernel in (2, 8, 7.5):
         with pytest.raises(ValueError, match=f"^blur kernel size must be odd, got {kernel}$"):
