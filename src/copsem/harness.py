@@ -170,11 +170,20 @@ def _texture(seed: int, k: int, size: int, sigma: float, fine_noise: float) -> G
     tex = gaussian_blur_array(base, kernel, sigma)
     if fine_noise:
         tex = tex + fine_noise * rng.normal(0.0, 1.0, (size, size))
-    idx = np.argsort(tex.ravel(), kind="stable")
-    order = np.empty_like(idx)  # ordinal ranks, 0-based: the inverse permutation of idx
+    px = np.floor(_ordinal_ranks(tex.ravel()) * 171.0 / tex.size).astype(np.uint8)
+    return GrayImage(size, size, px.reshape(size, size))
+
+
+def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
+    """0-based ordinal ranks of a 1-D array, ties broken by position: the
+    inverse permutation of np.argsort(values, kind="stable"). Without ties
+    every sort gives that permutation, so the faster default sort runs first."""
+    idx = np.argsort(values)
+    if not np.all(np.diff(values[idx]) > 0):
+        idx = np.argsort(values, kind="stable")
+    order = np.empty_like(idx)
     order[idx] = np.arange(idx.size)
-    px = np.floor(order * 171.0 / tex.size).astype(np.uint8).reshape(size, size)
-    return GrayImage(size, size, px)
+    return order
 
 
 def load_corpus(cfg: ExperimentConfig) -> list[tuple[str, GrayImage]]:

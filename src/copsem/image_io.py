@@ -19,16 +19,18 @@ U8 = "u8"
 REAL = "real"
 
 
-def _in_range(name: str, value, lo, hi, ends: str = "[]", integer: bool = False) -> None:
+def _in_range(name: str, value, lo, hi, ends: str = "[]", integer: bool = False):
     """The one range rule: raise ValueError unless value lies between lo and
     hi, each end closed where ends has "[" or "]" and open where it has "("
-    or ")", and is whole where integer is set. NaN lies in no interval."""
+    or ")", and is whole where integer is set. NaN lies in no interval.
+    Returns value, as a Python int where integer is set (8.0 becomes 8)."""
     above = value >= lo if ends[0] == "[" else value > lo
     below = value <= hi if ends[1] == "]" else value < hi
     if not (above and below):
         raise ValueError(f"{name} must be in {ends[0]}{lo!r}, {hi!r}{ends[1]}, got {value!r}")
     if integer and value % 1:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value) if integer else value
 
 
 class PgmError(ValueError):
@@ -69,8 +71,9 @@ class GrayImage:
     domain: str = U8
 
     def __post_init__(self):
-        _in_range("width", self.width, 1, math.inf, "[)", integer=True)
-        _in_range("height", self.height, 1, math.inf, "[)", integer=True)
+        for name in ("width", "height"):
+            value = _in_range(name, getattr(self, name), 1, math.inf, "[)", integer=True)
+            object.__setattr__(self, name, value)
         if self.domain not in (U8, REAL):
             raise ValueError(f"unknown pixel domain {self.domain!r}")
         px = np.asarray(self.pixels)

@@ -90,8 +90,9 @@ class EmpiricalCopula:
     n_pairs: int
 
     def __post_init__(self):
-        _in_range("bins", self.bins, 1, math.inf, "[)", integer=True)
-        _in_range("n_pairs", self.n_pairs, 0, math.inf, "[)", integer=True)
+        for name, lo in (("bins", 1), ("n_pairs", 0)):
+            value = _in_range(name, getattr(self, name), lo, math.inf, "[)", integer=True)
+            object.__setattr__(self, name, value)
         arr = np.array(self.cells, dtype=np.float64)
         if arr.shape != (self.bins, self.bins):
             raise ValueError(f"cells shape {arr.shape} != ({self.bins}, {self.bins})")
@@ -138,8 +139,9 @@ class CopulaFamily:
         n_pairs = tuple(int(n) for n in self.n_pairs)
         if len(n_pairs) != len(deltas) or min(n_pairs) < 0:
             raise ValueError(f"n_pairs {n_pairs} must hold one count >= 0 per displacement")
-        _in_range("stride", self.stride, 0, math.inf, "[)", integer=True)
+        stride = _in_range("stride", self.stride, 0, math.inf, "[)", integer=True)
         arr.flags.writeable = False
+        object.__setattr__(self, "stride", stride)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "cells", arr)
         object.__setattr__(self, "n_pairs", n_pairs)
@@ -241,7 +243,6 @@ def rank_transform(img: GrayImage) -> RankField:
 def _bin_of(u: np.ndarray, bins: int) -> np.ndarray:
     """Bin min(floor(u * B), B - 1) of each u, in the smallest unsigned dtype
     that also holds the sentinel code B (uint8 up to B = 255)."""
-    _in_range("bins", bins, 2, math.inf, "[)", integer=True)
     return np.minimum((u * bins).astype(np.min_scalar_type(bins)), bins - 1)
 
 
@@ -264,6 +265,7 @@ def extract_copula(
     valid pair; stride >= 2 * max(|dx|, |dy|) + 1 makes the pairs disjoint
     (no pixel participates twice).
     """
+    bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
     cell = _bin_of(field.u, bins)
     fill = partial(np.copyto, src=cell)
     return _count_family(fill, cell.shape, [Displacement(*delta)], bins, stride)[0]
@@ -280,7 +282,7 @@ def _count_family(fill, shape, deltas, bins: int, stride: int) -> list[Empirical
     One np.bincount per row block counts a group; each displacement's counts
     are the histogram summed over the other partners, without the sentinel.
     """
-    _in_range("stride", stride, 1, math.inf, "[)", integer=True)
+    stride = _in_range("stride", stride, 1, math.inf, "[)", integer=True)
     height, width = shape
     n_pairs = []
     for d in deltas:
@@ -329,6 +331,7 @@ def extract_family(
     extract_copula(rank_transform(img), delta, bins, stride) for each delta.
     """
     deltas = tuple(Displacement(*d) for d in deltas)
+    bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
     inverse, u = _midranks(img)
     table = _bin_of(u, bins)
 
@@ -343,7 +346,7 @@ def extract_family(
 
 def coarsen(copula: EmpiricalCopula, factor: int) -> EmpiricalCopula:
     """Merge factor x factor blocks of cells. factor must divide bins."""
-    _in_range("factor", factor, 2, math.inf, "[)", integer=True)
+    factor = _in_range("factor", factor, 2, math.inf, "[)", integer=True)
     if copula.bins % factor != 0:
         raise ValueError(f"factor {factor} does not divide bins {copula.bins}")
     nb = copula.bins // factor

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-from scipy.ndimage import convolve1d
 
 from .image_io import REAL, U8, GrayImage, _in_range
 
@@ -138,6 +136,8 @@ def requantize(img: GrayImage) -> GrayImage:
 
 def gaussian_blur_array(arr: np.ndarray, kernel: int, sigma: float) -> np.ndarray:
     """Separable Gaussian with explicit odd tap count and reflect padding."""
+    from scipy.ndimage import convolve1d  # here, not at the top: importing copsem loads numpy only
+
     c = (kernel - 1) / 2.0
     taps = np.exp(-((np.arange(kernel) - c) ** 2) / (2.0 * sigma * sigma))
     taps /= taps.sum()
@@ -152,6 +152,8 @@ def _dct_step(quality: int) -> float:
 
 
 def _block_dct_quant_array(x: np.ndarray, quality: int) -> np.ndarray:
+    import scipy.fft  # here, not at the top: importing copsem loads numpy only
+
     step = _dct_step(quality)
     h, w = x.shape
     ph, pw = (-h) % 8, (-w) % 8

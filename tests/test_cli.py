@@ -22,6 +22,7 @@ from copsem.cli import _parser, main
 from copsem.harness import ExperimentConfig, run_channel_sweep, synthetic_corpus
 from copsem.image_io import synth_gradient, synth_noise, write_pgm
 from copsem.rank_copula import CopulaFamily
+from copsem.transforms import TransformSpec, apply_transform
 
 
 def _write_corpus(tmp_path, count=3, size=48, seed=7):
@@ -171,16 +172,42 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, value,
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy_stats():
-    # importing scipy.stats adds start-up time and memory, and no kernel needs it
-    code = "import sys, copsem.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_loads_no_scipy_stats(tmp_path):
+    # one fresh interpreter: importing copsem and running extract, dpc, bounds and
+    # concentration load numpy only; the blur and dctq transforms import their scipy
+    # modules on first use and give the same pixels as this (warm) process
+    a, b = _write_corpus(tmp_path, count=2, size=32)
+    specs = ["blur:5:1.0", "dctq:20"]
+    code = f"""
+import contextlib, io, json, sys
+import copsem, copsem.cli
+from copsem.image_io import synth_noise
+from copsem.transforms import TransformSpec, apply_transform
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [
+        copsem.cli.main(["extract", "--out", {str(tmp_path)!r}, {a!r}]),
+        copsem.cli.main(["dpc", {a!r}, {b!r}]),
+        copsem.cli.main(["bounds"]),
+        copsem.cli.main(["concentration", "--ctrials", "20", "--out", {str(tmp_path)!r}]),
+    ]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+img = synth_noise(40, 24, 3)
+pixels = [apply_transform(img, TransformSpec.parse(s)).pixels.tolist() for s in {specs!r}]
+print(json.dumps({{"rcs": rcs, "loaded": loaded, "pixels": pixels}}))
+"""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["rcs"] == [0, 0, 0, 0]
+    assert got["loaded"] == []
+    img = synth_noise(40, 24, 3)
+    for spec, pixels in zip(specs, got["pixels"]):
+        want = apply_transform(img, TransformSpec.parse(spec)).pixels
+        assert np.array_equal(np.array(pixels, dtype=np.uint8), want), spec
 
 
 def test_extract_writes_family_json(tmp_path, capsys):

@@ -476,3 +476,18 @@ def test_integer_grids_write_the_float_rows(tmp_path):
     assert ints.tables[0].rows == floats.tables[0].rows
     assert [row[3] for row in ints.tables[0].rows] == ["0.0", "5.0"]
     assert read_lines(ints.tables[0].path) == read_lines(floats.tables[0].path)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.random.default_rng(5).normal(size=500),  # distinct: the default sort decides
+        np.random.default_rng(6).integers(0, 7, 500).astype(np.float64),  # ties: stable sort
+    ],
+    ids=["distinct", "ties"],
+)
+def test_ordinal_ranks_match_stable_argsort(values):
+    idx = np.argsort(values, kind="stable")
+    want = np.empty_like(idx)
+    want[idx] = np.arange(idx.size)
+    assert np.array_equal(harness._ordinal_ranks(values), want)

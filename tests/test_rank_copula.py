@@ -424,6 +424,23 @@ def test_integer_parameters_reject_fractions(build, name, interval):
         assert str(info.value) == f"{name} must be an integer, got {bad!r}"
 
 
+SIZE_BUILDS = [case[0] for case in SCALAR_RANGES] + [
+    lambda v: GrayImage(v, 2, np.zeros((2, 2), np.uint8)),
+    lambda v: GrayImage(2, v, np.zeros((2, 2), np.uint8)),
+]
+
+
+@pytest.mark.parametrize(
+    "build", SIZE_BUILDS, ids=SCALAR_RANGE_IDS + ["GrayImage-width", "GrayImage-height"]
+)
+def test_whole_float_sizes_act_as_ints(build):
+    want = build(2)
+    for whole in (2.0, np.float64(2.0)):
+        got = build(whole)
+        assert got == want
+        assert repr(got) == repr(want)  # the size is stored as the int 2, not as 2.0
+
+
 def test_serialization_roundtrip():
     fam = extract_family(synth_noise(40, 30, 77), bins=8, stride=2)
     doc = fam.to_json()
