@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_io import U8, GrayImage
-from .rank_copula import CopulaFamily, Displacement, _check_masses
+from .rank_copula import CopulaFamily, Displacement, _check_masses, _row_blocks
 
 LN2 = math.log(2.0)
 SQRT_LN2 = math.sqrt(LN2)
@@ -168,8 +168,11 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     """
     _check_u8_pair(a, b)
     # an exact sum, as the float mean's is, so the same correctly rounded quotient
-    diff = a.pixels.astype(np.int32) - b.pixels
-    mse = int((diff * diff).sum(dtype=np.int64)) / diff.size
+    sse = 0
+    for s in _row_blocks(*a.pixels.shape):
+        diff = a.pixels[s].astype(np.int32) - b.pixels[s]
+        sse += int((diff * diff).sum(dtype=np.int64))
+    mse = sse / a.pixels.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0 * 255.0 / mse)
@@ -190,18 +193,23 @@ def ssim(a: GrayImage, b: GrayImage) -> float:
         mx, my = x.mean(), y.mean()
         vx, vy, cov = x.var(), y.var(), ((x - mx) * (y - my)).mean()
     else:  # integer window sums, n * sum(x^2) < 2^31; the moments are the same
-        # exact multiples of 2^-12 as the float ones, in row-major window order
+        # exact multiples of 2^-12 as the float ones, in row-major window order;
+        # strips of whole window rows, 255^2 < 2^16 so the products fit uint16
         bh, bw = h // k, w // k
-        x, y = (im.pixels[: bh * k, : bw * k].astype(np.int32) for im in (a, b))
 
-        def box(z):  # rows first, in int32: about 4x as fast as sum(axis=(1, 3))
-            return z.reshape(bh, k, -1).sum(1, dtype=np.int32).reshape(-1, k).sum(1, dtype=np.int64)
+        def box(z):  # rows first, in int32, then columns: about 5x as fast as sum(axis=(1, 3))
+            rows = z.reshape(-1, k, bw * k).sum(1, dtype=np.int32)
+            return np.add.reduceat(rows, np.arange(0, bw * k, k), axis=1, dtype=np.int64).ravel()
 
-        sx, sy = box(x), box(y)
+        strips = []
+        for s in _row_blocks(bh, k * w):
+            x, y = (im.pixels[s.start * k : min(s.stop, bh) * k, : bw * k].astype(np.uint16) for im in (a, b))
+            strips.append([box(x), box(y), box(x * x), box(y * y), box(x * y)])
+        sx, sy, sxx, syy, sxy = (np.concatenate(v) for v in zip(*strips))
         mx, my = sx / n, sy / n
-        vx = (n * box(x * x) - sx * sx) / n**2
-        vy = (n * box(y * y) - sy * sy) / n**2
-        cov = (n * box(x * y) - sx * sy) / n**2
+        vx = (n * sxx - sx * sx) / n**2
+        vy = (n * syy - sy * sy) / n**2
+        cov = (n * sxy - sx * sy) / n**2
     num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
     return float(np.mean(num / den))

@@ -214,8 +214,11 @@ def _reject_json_constant(token: str):
 
 
 def _row_blocks(rows: int, cols: int):
-    """Slices of whole rows, about _BLOCK codes each or one row: np.bincount and
-    np.take copy their indices to intp, and a block's copy stays in cache."""
+    """Slices covering range(rows) in order, max(1, _BLOCK // cols) whole rows
+    each (the last may hold fewer): about _BLOCK elements of a (rows, cols)
+    array, or one row when a row is longer. Per-pixel work done a block at a
+    time keeps its temporaries in cache (intp copies of np.bincount and
+    np.take indices, the integer products of ssim and psnr)."""
     step = max(1, _BLOCK // cols)
     return (slice(r, r + step) for r in range(0, rows, step))
 

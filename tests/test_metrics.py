@@ -372,7 +372,12 @@ def _ssim_window_loop(a: GrayImage, b: GrayImage) -> float:
     return float(np.mean(vals))
 
 
+# the last three span several row strips of about _BLOCK pixels: (300, 300)
+# two ssim strips, the second ragged, at a width not a multiple of 8;
+# (17, 9000) one window row a strip and a cropped 17th row; (9001, 9) many
+# psnr strips of whole rows
 PIXEL_SHAPES = [(1, 1), (1, 9), (7, 7), (3, 1001), (1200, 5), (8, 8), (13, 21), (64, 64), (97, 130)]
+PIXEL_SHAPES += [(300, 300), (17, 9000), (9001, 9)]
 
 
 def _pixel_pairs(rng, shape):

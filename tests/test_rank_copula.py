@@ -11,6 +11,7 @@ from scipy.stats import rankdata
 from copsem.image_io import REAL, GrayImage, synth_gradient, synth_noise
 from copsem.rank_copula import (
     _BLOCK,
+    _row_blocks,
     DEFAULT_DELTAS,
     CopulaFamily,
     Displacement,
@@ -97,6 +98,19 @@ def _stacked_family(img, deltas, bins, stride):
     copulas = [extract_copula(field, d, bins, stride) for d in deltas]
     cells = [c.cells for c in copulas]
     return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
+
+
+# one row; rows wider than a block, one a block; a ragged last block;
+# four blocks that divide the rows evenly; blocks of 7281 nine-pixel rows
+@pytest.mark.parametrize(
+    "rows, cols", [(1, 1), (1, 70000), (5, 70000), (300, 300), (37, 2400), (512, 512), (9001, 9)]
+)
+def test_row_blocks_cover_rows_once_in_order(rows, cols):
+    step = max(1, _BLOCK // cols)
+    held = [range(rows)[s] for s in _row_blocks(rows, cols)]
+    assert [r for block in held for r in block] == list(range(rows))
+    assert all(len(block) == step for block in held[:-1])
+    assert 0 < len(held[-1]) <= step
 
 
 # 300 x 300 has a ragged last block of rows; 70000 columns make one row a
