@@ -167,10 +167,11 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     the string "inf" instead of a floating-point infinity.
     """
     _check_u8_pair(a, b)
-    # an exact sum, as the float mean's is, so the same correctly rounded quotient
+    # exact, as the float mean's sum is, so the same quotient; |a - b| is uint8, its square uint16
     sse = 0
     for s in _row_blocks(*a.pixels.shape):
-        diff = a.pixels[s].astype(np.int32) - b.pixels[s]
+        pa, pb = a.pixels[s], b.pixels[s]
+        diff = (np.maximum(pa, pb) - np.minimum(pa, pb)).astype(np.uint16)
         sse += int((diff * diff).sum(dtype=np.int64))
     mse = sse / a.pixels.size
     if mse == 0.0:
@@ -191,27 +192,26 @@ def ssim(a: GrayImage, b: GrayImage) -> float:
     if h < k or w < k:  # one window, not of n pixels: the float moments
         x, y = a.pixels.astype(np.float64), b.pixels.astype(np.float64)
         mx, my = x.mean(), y.mean()
-        vx, vy, cov = x.var(), y.var(), ((x - mx) * (y - my)).mean()
-    else:  # integer window sums, n * sum(x^2) < 2^31; the moments are the same
-        # exact multiples of 2^-12 as the float ones, in row-major window order;
-        # strips of whole window rows, 255^2 < 2^16 so the products fit uint16
+        vxy, cov = x.var() + y.var(), ((x - mx) * (y - my)).mean()
+    else:  # integer window sums, n * sum(x^2 + y^2) < 2^31; the moments and vx + vy
+        # are the same exact multiples of 2^-12 as the float ones, in row-major window
+        # order; strips of whole window rows, 255^2 < 2^16 so the products fit uint16
         bh, bw = h // k, w // k
 
-        def box(z):  # rows first, in int32, then columns: about 5x as fast as sum(axis=(1, 3))
-            rows = z.reshape(-1, k, bw * k).sum(1, dtype=np.int32)
+        def box(*zs):  # rows first, in int32 (added over zs), then columns: about 5x as fast as sum(axis=(1, 3))
+            rows = sum(z.reshape(-1, k, bw * k).sum(1, dtype=np.int32) for z in zs)
             return np.add.reduceat(rows, np.arange(0, bw * k, k), axis=1, dtype=np.int64).ravel()
 
         strips = []
         for s in _row_blocks(bh, k * w):
             x, y = (im.pixels[s.start * k : min(s.stop, bh) * k, : bw * k].astype(np.uint16) for im in (a, b))
-            strips.append([box(x), box(y), box(x * x), box(y * y), box(x * y)])
-        sx, sy, sxx, syy, sxy = (np.concatenate(v) for v in zip(*strips))
+            strips.append([box(x), box(y), box(x * x, y * y), box(x * y)])
+        sx, sy, sq, sxy = (np.concatenate(v) for v in zip(*strips))
         mx, my = sx / n, sy / n
-        vx = (n * sxx - sx * sx) / n**2
-        vy = (n * syy - sy * sy) / n**2
+        vxy = (n * sq - sx * sx - sy * sy) / n**2
         cov = (n * sxy - sx * sy) / n**2
     num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
+    den = (mx * mx + my * my + SSIM_C1) * (vxy + SSIM_C2)
     return float(np.mean(num / den))
 
 

@@ -218,7 +218,7 @@ def _row_blocks(rows: int, cols: int):
     each (the last may hold fewer): about _BLOCK elements of a (rows, cols)
     array, or one row when a row is longer. Per-pixel work done a block at a
     time keeps its temporaries in cache (intp copies of np.bincount and
-    np.take indices, the integer products of ssim and psnr)."""
+    np.take indices, the integer products of ssim and psnr, dctq's 8x8 blocks)."""
     step = max(1, _BLOCK // cols)
     return (slice(r, r + step) for r in range(0, rows, step))
 

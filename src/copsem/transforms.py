@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_io import REAL, U8, GrayImage, _in_range
+from .rank_copula import _row_blocks
 
 BRIGHTNESS = "brightness"
 CONTRAST = "contrast"
@@ -134,15 +135,26 @@ def requantize(img: GrayImage) -> GrayImage:
     return GrayImage(img.width, img.height, px, U8)
 
 
-def gaussian_blur_array(arr: np.ndarray, kernel: int, sigma: float) -> np.ndarray:
-    """Separable Gaussian with explicit odd tap count and reflect padding."""
-    from scipy.ndimage import convolve1d  # here, not at the top: importing copsem loads numpy only
+def _reflect_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """x correlated along axis 0 with symmetric taps over reflect padding (d c b a |
+    a b c d | d c b a, repeated for any radius), in ndimage's order: the centre tap,
+    then (x[i-j] + x[i+j]) * taps[r-j] for j = r down to 1, on contiguous rows."""
+    r, n = len(taps) // 2, len(x)
+    i = np.arange(-r, n + r) % (2 * n)
+    xp = x[np.minimum(i, 2 * n - 1 - i)]
+    out = xp[r : r + n] * taps[r]
+    for j in range(r, 0, -1):
+        out += (xp[r - j : r - j + n] + xp[r + j : r + j + n]) * taps[r - j]
+    return out
 
+
+def gaussian_blur_array(arr: np.ndarray, kernel: int, sigma: float) -> np.ndarray:
+    """Separable Gaussian, odd tap count, reflect padding: axis 0, then axis 1."""
     c = (kernel - 1) / 2.0
     taps = np.exp(-((np.arange(kernel) - c) ** 2) / (2.0 * sigma * sigma))
     taps /= taps.sum()
-    out = convolve1d(arr.astype(np.float64), taps, axis=0, mode="reflect")
-    return convolve1d(out, taps, axis=1, mode="reflect")
+    out = _reflect_rows(arr.astype(np.float64), taps)
+    return np.ascontiguousarray(_reflect_rows(out.T, taps).T)
 
 
 def _dct_step(quality: int) -> float:
@@ -151,19 +163,67 @@ def _dct_step(quality: int) -> float:
     return max(1.0, round(16.0 * scale / 100.0))
 
 
-def _block_dct_quant_array(x: np.ndarray, quality: int) -> np.ndarray:
-    import scipy.fft  # here, not at the top: importing copsem loads numpy only
+# pocketfft's twiddles cos(k*pi/16), k = 1..7, by its octant rule: sin of the
+# complement from k = 4 on (a plain cos differs in the last bit at k = 4..7)
+_W = np.array([math.cos(k * math.pi / 16) if k < 4 else math.sin((8 - k) * math.pi / 16) for k in range(1, 8)])
+_LO, _HI = _W[:3, None], _W[6:3:-1, None]  # the twiddles of c_k and of c_(8-k), k = 1..3
 
+
+def _dct2(c: np.ndarray, fct: float) -> np.ndarray:
+    """Orthonormal 8-point DCT-II along axis 0 of an (8, M) array, scaled by
+    fct: pocketfft's steps around an inverse real FFT (Makhoul's construction)."""
+    x = np.empty((5, c.shape[1]), dtype=np.complex128)
+    x[0], x[4] = 2.0 * c[0], 2.0 * c[7]
+    x.real[1:4] = c[1:7:2] + c[2:7:2]
+    x.imag[1:4] = c[2:7:2] - c[1:7:2]
+    y = np.fft.irfft(x, 8, axis=0, norm="forward")
+    y *= fct
+    lo, hi = y[1:4], y[7:4:-1]
+    t1, t2 = _LO * hi + _HI * lo, _LO * lo - _HI * hi
+    y[1:4], y[7:4:-1] = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
+    y[4] *= _W[3]
+    y[0] *= math.sqrt(2.0) * 0.5
+    return y
+
+
+def _dct3(c: np.ndarray, fct: float) -> np.ndarray:
+    """Orthonormal 8-point DCT-III along axis 0 of an (8, M) array, scaled by
+    fct, the inverse DCT-II: pocketfft's steps around a forward real FFT."""
+    y = np.empty_like(c)
+    y[0] = c[0] * math.sqrt(2.0)
+    lo, hi = c[1:4], c[7:4:-1]
+    t1, t2 = lo + hi, lo - hi
+    y[1:4] = _LO * t2 + _HI * t1
+    y[7:4:-1] = _LO * t1 - _HI * t2
+    y[4] = c[4] * (2.0 * _W[3])
+    x = np.fft.rfft(y, axis=0)
+    y[0], y[7] = x.real[0], x.real[4]
+    y[1:7:2], y[2:7:2] = x.real[1:4], x.imag[1:4]
+    y *= fct
+    y[1:7:2], y[2:7:2] = y[1:7:2] - y[2:7:2], y[2:7:2] + y[1:7:2]
+    return y
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """(8, 8*M) with one in-block axis first -> the other in-block axis first."""
+    return a.reshape(8, 8, -1).swapaxes(0, 1).reshape(8, -1)
+
+
+def _block_dct_quant_array(x: np.ndarray, quality: int) -> np.ndarray:
+    """8x8 block DCT, uniform quantization and inverse, as pocketfft's orthonormal dctn/idctn
+    over axes (2, 3) of the (hb, wb, 8, 8) blocks (2 by 1/16, then 3), in place by block-row strips."""
     step = _dct_step(quality)
     h, w = x.shape
-    ph, pw = (-h) % 8, (-w) % 8
-    xp = np.pad(x, ((0, ph), (0, pw)), mode="edge")
-    hh, ww = xp.shape
-    blocks = xp.reshape(hh // 8, 8, ww // 8, 8).transpose(0, 2, 1, 3)
-    co = scipy.fft.dctn(blocks, type=2, axes=(2, 3), norm="ortho")
-    co = np.round(co / step) * step
-    rec = scipy.fft.idctn(co, type=2, axes=(2, 3), norm="ortho")
-    return rec.transpose(0, 2, 1, 3).reshape(hh, ww)[:h, :w]
+    xp = np.pad(x, ((0, (-h) % 8), (0, (-w) % 8)), mode="edge")
+    wb = xp.shape[1] // 8
+    for s in _row_blocks(xp.shape[0] // 8, 64 * wb):
+        strip = xp[8 * s.start : 8 * s.stop]
+        a = strip.reshape(-1, 8, wb, 8).transpose(1, 3, 0, 2).reshape(8, -1)  # (row in block, ...)
+        co = _dct2(_swap(_dct2(a, 1.0 / 16)), 1.0)  # column in block first
+        co = np.round(co / step) * step
+        rec = _dct3(_swap(_dct3(_swap(co), 1.0 / 16)), 1.0)
+        strip[:] = rec.reshape(8, 8, -1, wb).transpose(2, 1, 3, 0).reshape(strip.shape)
+    return xp[:h, :w]
 
 
 def apply_transform(img: GrayImage, spec: TransformSpec) -> GrayImage:

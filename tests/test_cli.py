@@ -22,7 +22,8 @@ from copsem.cli import _parser, main
 from copsem.harness import ExperimentConfig, run_channel_sweep, synthetic_corpus
 from copsem.image_io import synth_gradient, synth_noise, write_pgm
 from copsem.rank_copula import CopulaFamily
-from copsem.transforms import TransformSpec, apply_transform
+
+from conftest import scipy_blur, scipy_dctq
 
 
 def _write_corpus(tmp_path, count=3, size=48, seed=7):
@@ -173,40 +174,51 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, value,
 
 
 def test_cli_import_loads_no_scipy_stats(tmp_path):
-    # one fresh interpreter: importing copsem and running extract, dpc, bounds and
-    # concentration load numpy only; the blur and dctq transforms import their scipy
-    # modules on first use and give the same pixels as this (warm) process
-    a, b = _write_corpus(tmp_path, count=2, size=32)
+    # one fresh interpreter in which scipy cannot be imported runs every subcommand
+    # at a small config, and its blur and dctq give the pixels of scipy's kernels
+    corpus = []
+    for name, img in synthetic_corpus(count=2, size=32):
+        corpus.append(str(tmp_path / f"{name}.pgm"))
+        (tmp_path / f"{name}.pgm").write_bytes(write_pgm(img))
+    out = str(tmp_path / "out")
+    runs = [
+        ["axioms", "--corpus", *corpus, "--out", out],
+        ["rd", "--corpus", *corpus, "--out", out],
+        ["concentration", "--ctrials", "20", "--out", out],
+        # 4 trials leave the r_squared gate within sampling noise; 20 pass it
+        ["channel", "--trials", "20", "--out", out],
+        ["sla-pipeline", "--corpus", *corpus, "--out", out],
+        ["sla-surface", "--out", out],
+        ["extract", "--out", out, corpus[0]],
+        ["dpc", *corpus],
+        ["bounds"],
+    ]
     specs = ["blur:5:1.0", "dctq:20"]
     code = f"""
 import contextlib, io, json, sys
+sys.modules["scipy"] = None
 import copsem, copsem.cli
 from copsem.image_io import synth_noise
 from copsem.transforms import TransformSpec, apply_transform
 with contextlib.redirect_stdout(io.StringIO()):
-    rcs = [
-        copsem.cli.main(["extract", "--out", {str(tmp_path)!r}, {a!r}]),
-        copsem.cli.main(["dpc", {a!r}, {b!r}]),
-        copsem.cli.main(["bounds"]),
-        copsem.cli.main(["concentration", "--ctrials", "20", "--out", {str(tmp_path)!r}]),
-    ]
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    rcs = [copsem.cli.main(argv) for argv in {runs!r}]
+loaded = sorted(m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy")
 img = synth_noise(40, 24, 3)
 pixels = [apply_transform(img, TransformSpec.parse(s)).pixels.tolist() for s in {specs!r}]
 print(json.dumps({{"rcs": rcs, "loaded": loaded, "pixels": pixels}}))
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
-    assert out.returncode == 0, out.stderr
-    got = json.loads(out.stdout.splitlines()[-1])
-    assert got["rcs"] == [0, 0, 0, 0]
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rcs"] == [0] * len(runs)
     assert got["loaded"] == []
-    img = synth_noise(40, 24, 3)
-    for spec, pixels in zip(specs, got["pixels"]):
-        want = apply_transform(img, TransformSpec.parse(spec)).pixels
+    x = synth_noise(40, 24, 3).pixels.astype(np.float64)
+    for spec, pixels, ref in zip(specs, got["pixels"], [scipy_blur(x, 5, 1.0), scipy_dctq(x, 20)]):
+        want = np.clip(np.round(ref), 0.0, 255.0).astype(np.uint8)
         assert np.array_equal(np.array(pixels, dtype=np.uint8), want), spec
 
 

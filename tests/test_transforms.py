@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, strategies as st
 
 from copsem.image_io import REAL, U8, GrayImage, synth_gradient, synth_noise
@@ -9,6 +10,9 @@ from copsem.metrics import d_pc
 from copsem.rank_copula import extract_family
 from copsem.transforms import (
     TransformSpec,
+    _block_dct_quant_array,
+    _dct2,
+    _dct3,
     apply_transform,
     awgn,
     block_dct_quant,
@@ -21,6 +25,8 @@ from copsem.transforms import (
     monotone_check,
     requantize,
 )
+
+from conftest import scipy_blur, scipy_dctq
 
 
 def test_canonical_forms():
@@ -171,6 +177,46 @@ def test_blur_array_normalized_impulse():
     assert out[5, 5] == out.max()
     assert abs(out[5, 4] - out[5, 6]) < 1e-15
     assert abs(out[4, 5] - out[5, 6]) < 1e-15
+
+
+def _oracle_shapes(rng, count):
+    """1x1, single rows and columns, then random sides 1..130, mostly not multiples of 8."""
+    return [(1, 1), (1, 9), (13, 1), (2, 3)] + [tuple(rng.integers(1, 131, 2)) for _ in range(count)]
+
+
+def test_blur_matches_scipy_convolve1d():
+    # radius 40 on sides down to 1: the reflect padding repeats, and the taps
+    # are added in the reference's own order, so the bits agree
+    rng = np.random.default_rng(1801)
+    for i, (h, w) in enumerate(_oracle_shapes(rng, 120)):
+        x = rng.normal(0.0, 50.0, (h, w))
+        kernel = 81 if i < 4 else 2 * int(rng.integers(0, 41)) + 1
+        sigma = rng.uniform(0.3, 8.0)
+        got = gaussian_blur_array(x, kernel, sigma)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, scipy_blur(x, kernel, sigma)), (h, w, kernel, sigma)
+
+
+def test_block_dct_quant_matches_scipy_dctn():
+    # the last two span several block-row strips: 76 block rows of 66 blocks in
+    # strips of 15 (the last holds 1), and block rows of 1125 blocks, one a strip
+    rng = np.random.default_rng(1802)
+    for i, (h, w) in enumerate(_oracle_shapes(rng, 100) + [(601, 523), (17, 9000)]):
+        x = rng.integers(0, 256, (h, w)).astype(np.float64)
+        if i % 2:  # the quantizer takes any real input, not only pixel codes
+            x += rng.uniform(-0.5, 0.5, (h, w))
+        quality = int(rng.integers(1, 101))
+        # called first: the strips are overwritten in place, in a padded copy of x only
+        assert np.array_equal(_block_dct_quant_array(x, quality), scipy_dctq(x, quality)), (h, w, quality)
+
+
+def test_dct_rows_match_scipy_dct():
+    # the 8-point transforms alone, on rows of mixed magnitude; fct 1/4 is the
+    # orthonormal scale of one axis
+    rng = np.random.default_rng(1803)
+    rows = rng.normal(0.0, 1.0, (20000, 8)) * 10.0 ** rng.integers(-3, 4, (20000, 1))
+    assert np.array_equal(_dct2(rows.T, 0.25).T, scipy.fft.dct(rows, type=2, norm="ortho"))
+    assert np.array_equal(_dct3(rows.T, 0.25).T, scipy.fft.idct(rows, type=2, norm="ortho"))
 
 
 def test_awgn_seeded_and_requantized():
