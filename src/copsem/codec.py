@@ -113,18 +113,13 @@ def pack(q: QuantizedFamily) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def _unpack_rows(streams: Sequence[bytes], alpha: float, n_cells: int) -> np.ndarray:
-    """The (c, n_cells) int64 indices of c streams of one geometry, each
-    decoded as unpack does."""
+def _decode_bits(bits: np.ndarray, alpha: float, n_cells: int) -> np.ndarray:
+    """The (c, n_cells) int64 indices of c rows of stream bits: L bits an
+    index, most significant first, clamped to levels - 1; bits past
+    n_cells * L are pad."""
     L = bits_per_cell(alpha)
-    n_bits = n_cells * L
-    expected = (n_bits + 7) // 8
-    for data in streams:
-        if len(data) != expected:
-            raise ValueError(f"stream holds {len(data)} bytes, geometry needs {expected}")
-    buf = np.frombuffer(b"".join(streams), dtype=np.uint8).reshape(len(streams), expected)
-    planes = np.unpackbits(buf, axis=1)[:, :n_bits].reshape(len(streams), n_cells, L)
-    values = np.zeros((len(streams), n_cells), dtype=np.int64)
+    planes = bits[:, : n_cells * L].reshape(len(bits), n_cells, L)
+    values = np.zeros((len(bits), n_cells), dtype=np.int64)
     for plane in range(L):  # one bit plane at a time, most significant first
         values <<= 1
         values |= planes[:, :, plane]
@@ -144,7 +139,11 @@ def unpack(
     not a power of two) clamp to levels - 1; trailing pad bits are ignored.
     """
     deltas = tuple(Displacement(*d) for d in deltas)
-    values = _unpack_rows([data], alpha, len(deltas) * bins * bins)[0]
+    n_cells = len(deltas) * bins * bins
+    expected = (n_cells * bits_per_cell(alpha) + 7) // 8
+    if len(data) != expected:
+        raise ValueError(f"stream holds {len(data)} bytes, geometry needs {expected}")
+    values = _decode_bits(np.unpackbits(np.frombuffer(data, np.uint8))[None], alpha, n_cells)
     return QuantizedFamily(alpha, bins, deltas, values.reshape(len(deltas), bins, bins))
 
 

@@ -14,6 +14,8 @@ import json
 import math
 import numbers
 import os
+import pickle
+import threading
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ from .bounds import (
     sla_surface,
     t_min,
 )
-from .channel import ber_experiment, trial_seed
+from .channel import _ber_experiments, trial_seed
 from .codec import RdPoint, dequantize, quantize, rd_sweep
 from .image_io import U8, GrayImage, _in_range, _load_pgm
 from .metrics import _d_pc_batch, d_pc, format_float, psnr, ssim
@@ -192,6 +194,11 @@ def load_corpus(cfg: ExperimentConfig) -> list[tuple[str, GrayImage]]:
     return [_load_pgm(path) for path in cfg.corpus]
 
 
+def _map_corpus(cfg: ExperimentConfig, fn) -> list[tuple[str, object]]:
+    """(name, fn(image)) per load_corpus entry, through _fork_map."""
+    return _fork_map(lambda entry: (entry[0], fn(entry[1])), load_corpus(cfg))
+
+
 def _cell(v) -> str:
     """The one rule for a table cell or a printed value: "" for None,
     true/false, str for integers, format_float for other reals, str as is,
@@ -288,6 +295,64 @@ def _result(
     return ExperimentResult(tuple(written), tuple(checks), dict(values or {}), tuple(warnings))
 
 
+_forking = False  # True while a _fork_map runs here, and in its children
+
+
+def _fork_map(fn, items) -> list:
+    """[fn(x) for x in items] in contiguous chunks, one per usable CPU: the
+    first here, each other in a forked child that pipes back its pickled
+    results, or its first error. Read in item order, the first failing item
+    raises; every child is reaped (killed first if the map is abandoned).
+    One CPU, no fork or affinity call, another live thread or a call inside
+    a running map take the plain loop."""
+    global _forking
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = min(cpus, len(items)) if hasattr(os, "fork") else 1
+    if cpus < 2 or _forking or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    cuts = [len(items) * c // cpus for c in range(cpus + 1)]
+    pids, fds = [], []
+    _forking = True
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: exit 0 once the chunk's message is sent, else 1
+                try:
+                    try:
+                        msg = pickle.dumps((True, [fn(x) for x in items[lo:hi]]), -1)
+                    except BaseException as exc:
+                        msg = pickle.dumps((False, exc), -1)
+                    with open(w, "wb") as fh:
+                        fh.write(msg)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            pids.append(pid)
+            fds.append(r)
+        out = [fn(x) for x in items[: cuts[1]]]
+        for fd in fds:
+            with open(fd, "rb", closefd=False) as fh:
+                msg = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if not msg:
+                raise RuntimeError(f"a forked worker exited with status {status} and no result")
+            ok, value = pickle.loads(msg)
+            if not ok:
+                raise value
+            out.extend(value)
+        return out
+    finally:
+        _forking = False
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
 # ---------------------------------------------------------------------------
 # invariance / severity table
 
@@ -300,23 +365,22 @@ def run_axiom_table(cfg: ExperimentConfig) -> ExperimentResult:
     row (check severity_order, observed as max(monotone) - min(degraded),
     which must stay below 0).
     """
-    images = load_corpus(cfg)
     bank = default_bank(awgn_seed=cfg.seed + 1)
     header = ["image", "transform", "domain", "monotone", "d_pc", "psnr", "ssim", "verdict"]
     rows: list[list] = []
     mono_worst, overlaps = [], []
-    for name, img in images:
+
+    def score(img: GrayImage) -> list[tuple]:
         fam0 = extract_family(img, cfg.deltas, cfg.bins, cfg.stride)
         entries = []
         for spec in bank:
-            out_img = apply_transform(img, spec)
-            fam1 = extract_family(out_img, cfg.deltas, cfg.bins, cfg.stride)
-            dist = d_pc(fam0, fam1).d_pc
-            if out_img.domain == U8:
-                p, s = psnr(img, out_img), ssim(img, out_img)
-            else:
-                p, s = None, None
-            entries.append((spec, out_img.domain, monotone_check(spec), dist, p, s))
+            out = apply_transform(img, spec)
+            dist = d_pc(fam0, extract_family(out, cfg.deltas, cfg.bins, cfg.stride)).d_pc
+            p, s = (psnr(img, out), ssim(img, out)) if out.domain == U8 else (None, None)
+            entries.append((spec, out.domain, monotone_check(spec), dist, p, s))
+        return entries
+
+    for name, entries in _map_corpus(cfg, score):
         mono = [e[3] for e in entries if e[2]]
         dmg = [e[3] for e in entries if not e[2]]
         top_mono, low_dmg = max(mono), min(dmg)
@@ -357,7 +421,6 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
     whose cell masses sit near a half-lattice point of some step can decode
     worse at that step than at the coarser one (see the fixture_image note).
     """
-    images = load_corpus(cfg)
     alphas = tuple(float(a) for a in cfg.alphas)
     n = len(cfg.deltas)
     b2 = cfg.bins * cfg.bins
@@ -365,9 +428,10 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
     fit_header = ["image", "c2_fit", "d_eff", "r_squared"]
     rows, fit_rows, warnings = [], [], []
     over_bound, rate_excess = [], []
-    for name, img in images:
-        fam = extract_family(img, cfg.deltas, cfg.bins, cfg.stride)
-        points = rd_sweep(fam, alphas)
+    sweeps = _map_corpus(
+        cfg, lambda img: rd_sweep(extract_family(img, cfg.deltas, cfg.bins, cfg.stride), alphas)
+    )
+    for name, points in sweeps:
         for i, pt in enumerate(points):
             rows.append([name, *astuple(pt)])  # alpha, rate_theory, rate_empirical, d_pc, bound
             within_2x = pt.distortion <= 2.0 * pt.bound
@@ -403,28 +467,19 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
 # estimation concentration
 
 
-def _concentration_arm(
-    params: ConcentrationParams, n_eff: int, trials: int, seed: int, arm: int
-) -> tuple[int, float]:
-    """Sample n_eff independence-copula pairs per displacement per trial;
-    count trials whose mean L1 error exceeds t."""
+def _concentration_l1(params: ConcentrationParams, n: int, seed: int, arm: int, t: int) -> float:
+    """One trial: sample n independence-copula pairs per displacement; the
+    mean L1 error of their empirical copulas."""
     b = params.bins
     uniform = 1.0 / (b * b)
-    failures = 0
-    l1_sum = 0.0
-    for t_idx in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 71, arm, t_idx)))
-        u = rng.random((params.n_deltas, n_eff, 2))
-        ij = (u[:, :, 0] * b).astype(np.int64) * b + (u[:, :, 1] * b).astype(np.int64)
-        l1 = 0.0
-        for k in range(params.n_deltas):
-            counts = np.bincount(ij[k], minlength=b * b)
-            l1 += float(np.abs(counts / n_eff - uniform).sum())
-        l1 /= params.n_deltas
-        l1_sum += l1
-        if l1 > params.t:
-            failures += 1
-    return failures, l1_sum / trials
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 71, arm, t)))
+    u = rng.random((params.n_deltas, n, 2))
+    ij = (u[:, :, 0] * b).astype(np.int64) * b + (u[:, :, 1] * b).astype(np.int64)
+    l1 = 0.0
+    for k in range(params.n_deltas):
+        counts = np.bincount(ij[k], minlength=b * b)
+        l1 += float(np.abs(counts / n - uniform).sum())
+    return l1 / params.n_deltas
 
 
 def run_concentration(
@@ -443,9 +498,18 @@ def run_concentration(
     header = "arm bins n_deltas t eta n_eff trials failures failure_fraction mean_l1".split()
     rows = []
     fractions = []
-    for arm, (label, n) in enumerate((("nominal", n_eff), ("control", control_n))):
-        failures, mean_l1 = _concentration_arm(params, n, trials, cfg.seed, arm)
-        frac = failures / trials
+    ns = (n_eff, control_n)
+    # one item per trial index, with both arms: the nominal arm costs about twice the control
+    l1s = _fork_map(
+        lambda i: [_concentration_l1(params, n, cfg.seed, arm, i) for arm, n in enumerate(ns)],
+        range(trials),
+    )
+    for arm, (label, n) in enumerate(zip(("nominal", "control"), ns)):
+        failures, l1_sum = 0, 0.0
+        for trial in l1s:
+            l1_sum += trial[arm]
+            failures += trial[arm] > params.t
+        frac, mean_l1 = failures / trials, l1_sum / trials
         fractions.append(frac)
         rows.append(
             [label, params.bins, params.n_deltas, t, eta, n, trials, failures, frac, mean_l1]
@@ -497,10 +561,11 @@ def run_channel_sweep(cfg: ExperimentConfig, alpha: float = DEFAULT_ALPHA) -> Ex
     bers = tuple(sorted(float(r) for r in cfg.bers))
     if not bers:
         raise ValueError("empty ber sweep")
-    exps = [
-        ber_experiment(q, r, cfg.trials, trial_seed(cfg.seed, 73, i))
-        for i, r in enumerate(bers)
-    ]
+    if len(set(bers)) < len(bers):
+        raise ValueError(f"ber {max(bers, key=bers.count)!r} repeated in the sweep")
+    runs = [(r, cfg.trials, trial_seed(cfg.seed, 73, i)) for i, r in enumerate(bers)]
+    runs += [(1e-3, 400, trial_seed(cfg.seed, 91, 1)), (2e-3, 400, trial_seed(cfg.seed, 91, 2))]
+    *exps, lo, hi = _ber_experiments(q, runs, _fork_map)
     top = exps[-1]
     k_fit = top.mean_d_pc / top.shape_lra if top.shape_lra > 0 else 0.0
     means = [e.mean_d_pc for e in exps]
@@ -510,8 +575,6 @@ def run_channel_sweep(cfg: ExperimentConfig, alpha: float = DEFAULT_ALPHA) -> Ex
     k_lin = float(np.sum(rs * ys)) / rr if rr > 0 else 0.0
     ss_y = float(np.sum(ys**2))
     r2 = 1.0 if ss_y == 0.0 else 1.0 - float(np.sum((ys - k_lin * rs) ** 2)) / ss_y
-    lo = ber_experiment(q, 1e-3, 400, trial_seed(cfg.seed, 91, 1))
-    hi = ber_experiment(q, 2e-3, 400, trial_seed(cfg.seed, 91, 2))
     doubling = hi.mean_d_pc / lo.mean_d_pc if lo.mean_d_pc > 0 else math.inf
     steps = [(a - b, a <= b + 1e-12) for a, b in zip(means, means[1:])]
     checks = [

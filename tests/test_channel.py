@@ -108,3 +108,26 @@ def test_blocked_trials_match_trial_by_trial(rng, alpha, ber):
     exp = ber_experiment(q, ber, trials, 31)
     assert exp.distortions == _trial_by_trial(q, ber, trials, 31)
     assert len(exp.distortions) == trials
+
+
+@pytest.mark.parametrize("ber", [0.0, 1e-2, 0.5])
+def test_flip_plane_rows_are_transmitted_streams(rng, monkeypatch, ber):
+    # each row of a block's corrupted bit plane is the bits of one transmit call
+    from copsem import channel
+
+    planes = []
+    decode = channel._decode_bits
+
+    def recording_decode(bits, alpha, n_cells):
+        planes.append(bits.copy())
+        return decode(bits, alpha, n_cells)
+
+    monkeypatch.setattr(channel, "_decode_bits", recording_decode)
+    q = quantize(make_family(rng, conc=0.3), 0.1)  # 4 bits a cell
+    payload = pack(q)
+    trials, seed = TRIAL_BLOCK + 6, 77
+    ber_experiment(q, ber, trials, seed)
+    assert [len(p) for p in planes] == [TRIAL_BLOCK, 6]
+    for t, row in enumerate(np.concatenate(planes)):
+        sent = transmit(payload, ber, trial_seed(seed, t))
+        assert np.array_equal(row, np.unpackbits(np.frombuffer(sent, dtype=np.uint8)))

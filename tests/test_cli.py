@@ -340,6 +340,16 @@ def test_channel_r_squared_miss_names_the_check(tmp_path, capsys):
     assert failed == ["check failed: r_squared observed=0.9485707716684292 limit=0.95"]
 
 
+def test_channel_repeated_rate_exits_two(tmp_path, capsys):
+    # two seeds at one rate give two means; no ordering check can compare them
+    rc = main(["channel", "--ber", "0.1", "--ber", "0.1", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "copsem: ber 0.1 repeated in the sweep\n"
+    assert not os.path.exists(tmp_path / "channel_sweep.csv")
+
+
 def test_rd_subcommand_exits_zero(tmp_path, capsys):
     paths = _write_corpus(tmp_path, count=2, size=64)
     out = tmp_path / "out"

@@ -491,3 +491,143 @@ def test_ordinal_ranks_match_stable_argsort(values):
     want = np.empty_like(idx)
     want[idx] = np.arange(idx.size)
     assert np.array_equal(harness._ordinal_ranks(values), want)
+
+
+# ---------------------------------------------------------------------------
+# fork-join runners
+
+
+def _pin_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_runners_identical_at_every_cpu_count(tmp_path, monkeypatch):
+    # three images, so three CPUs give three chunks to the per-image runners
+    paths = []
+    for name, img in synthetic_corpus(count=3, size=40, seed=5):
+        paths.append(str(tmp_path / f"{name}.pgm"))
+        (tmp_path / f"{name}.pgm").write_bytes(write_pgm(img))
+    cfg = ExperimentConfig(corpus=tuple(paths), trials=24, seed=5)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    runs = {}
+    for cpus in (1, 2, 3):
+        _pin_cpus(monkeypatch, cpus)
+        before = len(forks)
+        runs[cpus] = [
+            run_axiom_table(cfg),
+            run_rd_curve(cfg),
+            run_concentration(cfg, trials=30),
+            run_channel_sweep(cfg),
+        ]
+        # every runner forks cpus - 1 children, and none at one CPU
+        assert len(forks) - before == 4 * (cpus - 1)
+        _assert_no_child_left()
+    for cpus in (2, 3):
+        for one, many in zip(runs[1], runs[cpus]):
+            assert one.tables == many.tables
+            assert one.checks == many.checks
+            assert one.values == many.values
+            assert one.warnings == many.warnings
+
+
+class Odd(LookupError):
+    """Defined at module level, so a child can pickle it."""
+
+
+def test_fork_map_raises_the_first_failing_item(monkeypatch):
+    def fn(x):
+        if x in bad:
+            raise (Odd if x % 2 else ValueError)(f"item {x} failed")
+        return x * x
+
+    for cpus, items, bad, first in [
+        (2, range(10), {3, 7}, 3),  # the first chunk, run here, fails first
+        (2, range(10), {8, 6}, 6),  # only the child's chunk fails
+        (3, range(9), {7, 5}, 5),  # both children fail; the earlier chunk wins
+        (3, range(9), {1, 4, 8}, 1),
+    ]:
+        _pin_cpus(monkeypatch, cpus)
+        with pytest.raises((ValueError, Odd)) as exc:
+            harness._fork_map(fn, items)
+        assert type(exc.value) is (Odd if first % 2 else ValueError)
+        assert str(exc.value) == f"item {first} failed"
+        _assert_no_child_left()
+        bad = set()
+        assert harness._fork_map(fn, items) == [x * x for x in items]
+        _assert_no_child_left()
+
+
+def test_runner_error_in_a_child_is_the_inline_error(tmp_path, monkeypatch):
+    # the last image, scored in a child when forked, has no pixel pairs
+    paths = []
+    for name, img in synthetic_corpus(count=2, size=40, seed=5):
+        paths.append(str(tmp_path / f"{name}.pgm"))
+        (tmp_path / f"{name}.pgm").write_bytes(write_pgm(img))
+    (tmp_path / "tiny.pgm").write_bytes(b"P5\n1 1\n255\n\x07")
+    cfg = ExperimentConfig(corpus=(*paths, str(tmp_path / "tiny.pgm")))
+    for runner in (run_axiom_table, run_rd_curve):
+        errors = set()
+        for cpus in (1, 2, 3):
+            _pin_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as exc:
+                runner(cfg)
+            errors.add(str(exc.value))
+            _assert_no_child_left()
+        assert len(errors) == 1, errors
+
+
+def test_fork_map_names_the_status_of_a_child_that_died(monkeypatch):
+    _pin_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    with pytest.raises(RuntimeError, match="status 3"):
+        harness._fork_map(lambda x: x if os.getpid() == parent else os._exit(3), range(6))
+    _assert_no_child_left()
+
+
+def test_fork_map_runs_inline_where_it_cannot_fork(monkeypatch):
+    import threading
+
+    _pin_cpus(monkeypatch, 2)
+    me = os.getpid()
+
+    def pids():
+        return harness._fork_map(lambda _: os.getpid(), range(6))
+
+    assert len(set(pids())) == 2  # forks when it can
+
+    # a call inside a running map
+    nested = harness._fork_map(lambda _: (os.getpid(), set(pids())), range(4))
+    assert len({pid for pid, _ in nested}) == 2
+    assert all(inner == {pid} for pid, inner in nested)
+
+    # another live thread
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert set(pids()) == {me}
+    finally:
+        stop.set()
+        thread.join()
+
+    # one usable CPU, or no affinity call or fork
+    _pin_cpus(monkeypatch, 1)
+    assert set(pids()) == {me}
+    for name in ("sched_getaffinity", "fork"):
+        with monkeypatch.context() as m:
+            _pin_cpus(m, 2)
+            m.delattr(os, name)
+            assert set(pids()) == {me}
+    _assert_no_child_left()
