@@ -251,6 +251,8 @@ def fit_encoder_model(
         raise ValueError("need at least two positive-distortion points")
     y = np.log2(dist)
     if d is None:
+        if r.min() == r.max():  # the slope through one rate is undefined
+            raise ValueError("need at least two distinct rates")
         slope, intercept = np.polyfit(r, y, 1)
         if slope >= 0.0:
             raise ValueError("distortion does not decay with rate; no valid fit")

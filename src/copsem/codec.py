@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import enc_distortion_bound, rate_achievability
-from .image_io import _in_range
+from .image_io import _in_range, _same_values, _sweep
 from .metrics import d_pc
-from .rank_copula import CopulaFamily, Displacement
+from .rank_copula import CopulaFamily, Displacement, _displacements
 
 
 def levels_for_alpha(alpha: float) -> int:
@@ -42,9 +42,7 @@ class QuantizedFamily:
 
     def __post_init__(self):
         lv = levels_for_alpha(self.alpha)
-        deltas = tuple(Displacement(*d) for d in self.deltas)
-        if not deltas:
-            raise ValueError("a quantized family needs at least one displacement")
+        deltas = _displacements(self.deltas)
         arr = np.array(self.indices, dtype=np.int64)
         if arr.shape != (len(deltas), self.bins, self.bins):
             raise ValueError(
@@ -64,15 +62,7 @@ class QuantizedFamily:
     def bits(self) -> int:
         return bits_per_cell(self.alpha)
 
-    def __eq__(self, other):
-        if not isinstance(other, QuantizedFamily):
-            return NotImplemented
-        return (
-            self.alpha == other.alpha
-            and self.bins == other.bins
-            and self.deltas == other.deltas
-            and np.array_equal(self.indices, other.indices)
-        )
+    __eq__ = _same_values
 
 
 def quantize(family: CopulaFamily, alpha: float) -> QuantizedFamily:
@@ -177,8 +167,7 @@ def rd_point(family: CopulaFamily, alpha: float) -> RdPoint:
 
 def rd_sweep(family: CopulaFamily, alphas: Sequence[float]) -> list[RdPoint]:
     """One point per alpha, sorted by alpha descending (rate ascending)."""
-    if not alphas:
-        raise ValueError("empty alpha sweep")
+    alphas = _sweep("alpha", alphas)[::-1]
     for a in alphas:
         levels_for_alpha(a)
-    return [rd_point(family, a) for a in sorted(alphas, reverse=True)]
+    return [rd_point(family, a) for a in alphas]

@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .channel import _ber_experiments, trial_seed
 from .codec import RdPoint, dequantize, quantize, rd_sweep
-from .image_io import U8, GrayImage, _in_range, _load_pgm
+from .image_io import U8, GrayImage, _in_range, _load_pgm, _sweep
 from .metrics import _d_pc_batch, d_pc, format_float, psnr, ssim
 from .rank_copula import (
     DEFAULT_BINS,
@@ -43,6 +43,7 @@ from .rank_copula import (
     CopulaFamily,
     Displacement,
     _check_masses,
+    _displacements,
     extract_family,
     non_overlapping_stride,
 )
@@ -75,6 +76,11 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = DEFAULT_SEED
     out_dir: str | None = None  # None: the runners write no file
+
+    def __post_init__(self):
+        object.__setattr__(self, "deltas", _displacements(self.deltas))
+        seed = _in_range("seed", self.seed, 0, math.inf, "[)", integer=True)
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -138,12 +144,14 @@ def _config_list(key: str, v, sep: str) -> list:
 
 def _config_number(key: str, v, kind: type):
     """int or float from a JSON number or a string; an int field takes a
-    float only when it is integral."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-        raise ValueError(f"config {key}: expected a number, got {v!r}")
-    if kind is int and isinstance(v, float) and not v.is_integer():
-        raise ValueError(f"config {key}: expected an integer, got {v!r}")
-    return kind(v)
+    float only when it is integral, and a string only in integer notation."""
+    if not isinstance(v, bool) and (kind is float or not isinstance(v, float) or v.is_integer()):
+        try:
+            return kind(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ValueError(f"config {key}: expected {what}, got {v!r}")
 
 
 def synthetic_corpus(
@@ -421,7 +429,6 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
     whose cell masses sit near a half-lattice point of some step can decode
     worse at that step than at the coarser one (see the fixture_image note).
     """
-    alphas = tuple(float(a) for a in cfg.alphas)
     n = len(cfg.deltas)
     b2 = cfg.bins * cfg.bins
     header = ["image", "alpha", "rate_theory_bits", "rate_empirical_bits", "d_pc", "bound"]
@@ -429,7 +436,7 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
     rows, fit_rows, warnings = [], [], []
     over_bound, rate_excess = [], []
     sweeps = _map_corpus(
-        cfg, lambda img: rd_sweep(extract_family(img, cfg.deltas, cfg.bins, cfg.stride), alphas)
+        cfg, lambda img: rd_sweep(extract_family(img, cfg.deltas, cfg.bins, cfg.stride), cfg.alphas)
     )
     for name, points in sweeps:
         for i, pt in enumerate(points):
@@ -558,11 +565,7 @@ def run_channel_sweep(cfg: ExperimentConfig, alpha: float = DEFAULT_ALPHA) -> Ex
     of runs at 400 trials each).
     """
     q = quantize(fixture_family(cfg), float(alpha))
-    bers = tuple(sorted(float(r) for r in cfg.bers))
-    if not bers:
-        raise ValueError("empty ber sweep")
-    if len(set(bers)) < len(bers):
-        raise ValueError(f"ber {max(bers, key=bers.count)!r} repeated in the sweep")
+    bers = _sweep("ber", cfg.bers)
     runs = [(r, cfg.trials, trial_seed(cfg.seed, 73, i)) for i, r in enumerate(bers)]
     runs += [(1e-3, 400, trial_seed(cfg.seed, 91, 1)), (2e-3, 400, trial_seed(cfg.seed, 91, 2))]
     *exps, lo, hi = _ber_experiments(q, runs, _fork_map)
@@ -666,13 +669,12 @@ def run_sla_pipeline(
     d_total - bound) and that decode error does not grow with compute
     budget (check decode_non_increasing, observed as the largest rise).
 
+    T runs ascending, and an empty grid or a repeated T raises ValueError.
     A first pass extracts and encodes every image; one lockstep solve then
     finds the decoder weight of every (image, T); a second pass scores each
     image's decodes for all T at once."""
     images = load_corpus(cfg)
-    alpha, t_grid = float(alpha), tuple(float(t) for t in t_grid)
-    if not t_grid:
-        raise ValueError("empty compute grid")
+    alpha, t_grid = float(alpha), _sweep("compute grid", t_grid)
     sub = non_overlapping_stride(cfg.deltas)
     n, b2 = len(cfg.deltas), cfg.bins * cfg.bins
     stages = []

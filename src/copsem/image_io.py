@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,27 @@ def _in_range(name: str, value, lo, hi, ends: str = "[]", integer: bool = False)
     if integer and value % 1:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value) if integer else value
+
+
+def _sweep(name: str, values) -> tuple[float, ...]:
+    """The one sweep rule: values as floats, ascending. ValueError when there
+    is none or one repeats: a fit or an ordering check needs distinct points."""
+    values = tuple(sorted(float(v) for v in values))
+    if not values:
+        raise ValueError(f"empty {name} sweep")
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            raise ValueError(f"{name} {a!r} repeated in the sweep")
+    return values
+
+
+def _same_values(self, other):
+    """The __eq__ of the value types that hold arrays (and so stay unhashable):
+    the same type and every dataclass field equal, arrays by np.array_equal."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 class PgmError(ValueError):
@@ -104,15 +125,7 @@ class GrayImage:
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
-    def __eq__(self, other):
-        if not isinstance(other, GrayImage):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.pixels, other.pixels)
-        )
+    __eq__ = _same_values
 
 
 def read_pgm(data: bytes) -> GrayImage:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .image_io import U8, GrayImage, _in_range
+from .image_io import U8, GrayImage, _in_range, _same_values
 
 SERIAL_VERSION = 1
 _BLOCK = 1 << 16  # codes per block of the per-pixel counts and lookups
@@ -41,6 +41,17 @@ DEFAULT_BINS = 8
 
 class EmptySampleError(ValueError):
     """No valid anchor pairs for the requested displacement and stride."""
+
+
+def _displacements(deltas: Sequence[Displacement]) -> tuple[Displacement, ...]:
+    """The one displacement-set rule: a tuple of at least one Displacement,
+    none repeated, else ValueError. _count_family rejects (0, 0)."""
+    deltas = tuple(Displacement(*d) for d in deltas)
+    if not deltas:
+        raise ValueError("a family needs at least one displacement")
+    if len(set(deltas)) != len(deltas):
+        raise ValueError("displacements must be distinct")
+    return deltas
 
 
 def _check_masses(rows: np.ndarray, name: str) -> None:
@@ -100,14 +111,7 @@ class EmpiricalCopula:
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
 
-    def __eq__(self, other):
-        if not isinstance(other, EmpiricalCopula):
-            return NotImplemented
-        return (
-            self.bins == other.bins
-            and self.n_pairs == other.n_pairs
-            and np.array_equal(self.cells, other.cells)
-        )
+    __eq__ = _same_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +131,7 @@ class CopulaFamily:
     stride: int = 1
 
     def __post_init__(self):
-        deltas = tuple(Displacement(*d) for d in self.deltas)
-        if not deltas:
-            raise ValueError("a family needs at least one displacement")
-        if len(set(deltas)) != len(deltas):
-            raise ValueError("displacements must be distinct")
+        deltas = _displacements(self.deltas)
         arr = np.array(self.cells, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[0] != len(deltas) or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"cells shape {arr.shape} is not ({len(deltas)}, B, B)")
@@ -150,15 +150,7 @@ class CopulaFamily:
     def bins(self) -> int:
         return self.cells.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, CopulaFamily):
-            return NotImplemented
-        return (
-            self.deltas == other.deltas
-            and self.stride == other.stride
-            and self.n_pairs == other.n_pairs
-            and np.array_equal(self.cells, other.cells)
-        )
+    __eq__ = _same_values
 
     def to_json(self) -> str:
         """Serialize with 17-significant-digit reals (exact float round-trip)."""
@@ -359,5 +351,5 @@ def coarsen(copula: EmpiricalCopula, factor: int) -> EmpiricalCopula:
 
 def non_overlapping_stride(deltas: Sequence[Displacement]) -> int:
     """Smallest lattice stride at which no pixel appears in two pairs."""
-    m = max(max(abs(d[0]), abs(d[1])) for d in deltas)
+    m = max(max(abs(dx), abs(dy)) for dx, dy in _displacements(deltas))
     return 2 * m + 1

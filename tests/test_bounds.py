@@ -210,6 +210,11 @@ def test_fit_rejects_degenerate_input():
         fit_encoder_model([100.0], [0.5])
     with pytest.raises(ValueError):
         fit_encoder_model([100.0, 200.0], [0.0, 0.1])
+    # one rate twice used to return a fit after numpy's RankWarning
+    with pytest.raises(ValueError, match="^need at least two distinct rates$"):
+        fit_encoder_model([100.0, 100.0, 200.0], [0.1, 0.2, 0.0])
+    c2, d_eff, _ = fit_encoder_model([100.0, 100.0], [0.1, 0.2], d=300)  # intercept only
+    assert d_eff == 300.0 and c2 > 0.0
 
 
 def test_rates_finite_at_subnormal_steps():

@@ -124,6 +124,7 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
         ["bounds", "--t", "1e-160"],
         ["bounds", "--eta", "1e-320"],
         ["concentration", "--out", str(tmp_path / "out"), "--t", "1e-160"],
+        ["channel", "--seed", "-1"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -348,6 +349,57 @@ def test_channel_repeated_rate_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "copsem: ber 0.1 repeated in the sweep\n"
     assert not os.path.exists(tmp_path / "channel_sweep.csv")
+
+
+@pytest.mark.parametrize("command", ["axioms", "concentration", "channel"])
+def test_negative_seed_names_its_input(command, capsys):
+    # used to print numpy's "expected non-negative integer"
+    assert main([command, "--seed", "-1", "--out", "unused"]) == 2
+    assert capsys.readouterr().err == "copsem: seed must be in [0, inf), got -1\n"
+
+
+def test_rd_repeated_step_exits_two(tmp_path, capsys):
+    # used to exit 0 with r_squared 1.0: a fit through two copies of one point
+    paths = _write_corpus(tmp_path, count=1)
+    argv = ["rd", "--out", str(tmp_path / "out"), "--corpus", *paths]
+    assert main([*argv, "--alphas", "0.25", "0.125", "0.125"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "copsem: alpha 0.125 repeated in the sweep\n"
+    assert not os.path.exists(tmp_path / "out" / "rd_curve.csv")
+
+
+def test_sla_pipeline_sorts_its_compute_grid(tmp_path, capsys):
+    # T = 40 before T = 0 used to fail decode_non_increasing
+    paths = _write_corpus(tmp_path, count=1)
+    out = tmp_path / "out"
+    argv = ["sla-pipeline", "--out", str(out), "--corpus", *paths]
+    assert main([*argv, "--T", "40", "--T", "0"]) == 0
+    capsys.readouterr()
+    with open(out / "sla_pipeline.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh.readlines()[1:]))
+    assert [row["T"] for row in rows] == ["0.0", "40.0"]
+    assert main([*argv, "--T", "5", "--T", "5"]) == 2
+    assert capsys.readouterr().err == "copsem: compute grid 5.0 repeated in the sweep\n"
+
+
+def test_bounds_repeated_displacement_exits_two(capsys):
+    # used to count the repeat: rate_achievable_bits=756.0
+    assert main(["bounds", "--delta", "1,0", "--delta", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "copsem: displacements must be distinct\n"
+
+
+@pytest.mark.parametrize("command", [["sla-pipeline", "--out", "unused"], ["bounds"]])
+def test_empty_displacement_set_exits_two(command, tmp_path, capsys):
+    # sla-pipeline used to end in "max() arg is an empty sequence"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"deltas": []}')
+    assert main([*command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "copsem: a family needs at least one displacement\n"
 
 
 def test_rd_subcommand_exits_zero(tmp_path, capsys):

@@ -161,6 +161,14 @@ def test_unpack_arbitrary_bytes_parses_or_raises_value_error(data):
     assert unpack(pack(q), alpha, bins, deltas) == q
 
 
+def test_repeated_displacement_rejected():
+    # both used to build a quantized family that counts one copula twice
+    with pytest.raises(ValueError, match="^displacements must be distinct$"):
+        QuantizedFamily(1 / 4, 2, (RIGHT, RIGHT), np.zeros((2, 2, 2), np.int64))
+    with pytest.raises(ValueError, match="^displacements must be distinct$"):
+        unpack(bytes(3), 1 / 4, 2, (RIGHT, RIGHT))  # 2 x 4 cells x 3 bits
+
+
 def test_unpack_clamps_corrupt_indices():
     # levels = 3 at alpha = 0.4, but two bits can encode 3; a corrupted
     # stream with bit pattern 11 must clamp to the top valid level
@@ -206,6 +214,10 @@ def test_sweep_order_and_bounds(rng):
     assert [p.alpha for p in pts] == sorted(alphas, reverse=True)
     for p in pts:
         assert p.distortion <= 2.0 * p.bound + 1e-12
+    with pytest.raises(ValueError, match=r"^alpha 0\.125 repeated in the sweep$"):
+        rd_sweep(fam, (1 / 8, 1 / 16, 1 / 8))
+    with pytest.raises(ValueError, match="^empty alpha sweep$"):
+        rd_sweep(fam, ())
 
 
 def test_sweep_endpoint_trend(rng):

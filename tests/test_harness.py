@@ -87,11 +87,23 @@ def test_config_bad_line(tmp_path):
         {"alphas": [None]},
         {"corpus": {"a": 1}},
         {"out_dir": None},
+        # key=value strings that int() cannot read used to surface as
+        # "invalid literal for int() with base 10", naming no key
+        {"seed": "1e30"},
+        {"seed": "1.5"},
+        {"bins": "nan"},
+        {"alphas": [10**400]},  # used to raise OverflowError
+        {"seed": -1},
+        {"deltas": []},
+        {"deltas": [[1, 0], [1, 0]]},
     ],
 )
 def test_config_rejects_bad_values(doc):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         ExperimentConfig.from_dict(doc)
+    ((key, value),) = doc.items()
+    if key in ("seed", "bins") and isinstance(value, str):
+        assert str(info.value) == f"config {key}: expected an integer, got {value!r}"
 
 
 def test_config_accepts_integral_floats_and_lists():

@@ -20,6 +20,8 @@ from copsem.image_io import (
     synth_noise,
     write_pgm,
 )
+from copsem.codec import QuantizedFamily
+from copsem.rank_copula import CopulaFamily, EmpiricalCopula
 
 
 def test_roundtrip_noise():
@@ -174,3 +176,54 @@ def test_real_domain_accepts_floats():
 def test_u8_domain_rejects_floats():
     with pytest.raises(DomainError):
         GrayImage(2, 2, np.array([[0.5, 1.0], [2.0, 3.0]]), domain=U8)
+
+
+# Each value type holding an array, its constructor keywords, and changes
+# of one field each (width and height only change together with the shape).
+VALUE_TYPES = [
+    pytest.param(
+        GrayImage,
+        dict(width=2, height=1, pixels=[[1, 2]], domain=U8),
+        [dict(pixels=[[1, 3]]), dict(domain=REAL), dict(width=1, height=2, pixels=[[1], [2]])],
+        id="GrayImage",
+    ),
+    pytest.param(
+        EmpiricalCopula,
+        dict(bins=2, cells=[[0.5, 0.0], [0.0, 0.5]], n_pairs=4),
+        [dict(cells=[[0.25, 0.25], [0.25, 0.25]]), dict(n_pairs=0), dict(bins=1, cells=[[1.0]])],
+        id="EmpiricalCopula",
+    ),
+    pytest.param(
+        CopulaFamily,
+        dict(deltas=[(1, 0)], cells=[[[0.5, 0.0], [0.0, 0.5]]], n_pairs=(4,), stride=1),
+        [
+            dict(deltas=[(0, 1)]),
+            dict(cells=[[[0.25, 0.25], [0.25, 0.25]]]),
+            dict(n_pairs=(3,)),
+            dict(stride=2),
+        ],
+        id="CopulaFamily",
+    ),
+    pytest.param(
+        QuantizedFamily,
+        dict(alpha=0.25, bins=2, deltas=[(1, 0)], indices=[[[2, 0], [0, 2]]]),
+        [
+            dict(alpha=0.125),
+            dict(bins=1, indices=[[[4]]]),
+            dict(deltas=[(0, 1)]),
+            dict(indices=[[[1, 1], [1, 1]]]),
+        ],
+        id="QuantizedFamily",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changes", VALUE_TYPES)
+def test_value_types_compare_every_field(cls, fields, changes):
+    value = cls(**fields)
+    assert value == cls(**fields) and not value != cls(**fields)
+    for change in changes:
+        assert value != cls(**{**fields, **change}), change
+    assert value.__eq__(5) is NotImplemented and value != 5
+    with pytest.raises(TypeError):
+        hash(value)

@@ -315,6 +315,11 @@ def test_translation_consistency():
 def test_non_overlapping_stride():
     assert non_overlapping_stride(DEFAULT_DELTAS) == 3
     assert non_overlapping_stride((Displacement(2, 0),)) == 5
+    # an empty set used to fail inside max(); a repeated one was accepted
+    with pytest.raises(ValueError, match="^a family needs at least one displacement$"):
+        non_overlapping_stride([])
+    with pytest.raises(ValueError, match="^displacements must be distinct$"):
+        non_overlapping_stride([RIGHT, RIGHT])
 
 
 def test_strided_extraction_counts():
