@@ -8,6 +8,7 @@ return None rather than raising.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -169,13 +170,11 @@ class EncoderModel:
         return self.c2 * 2.0 ** (-rate / self.d)
 
 
-def _headroom(eps: float, eps_est: float, stage_error: float) -> float | None:
+def _headroom(eps: float, eps_est: float, stage_error: float) -> float:
+    """What eps leaves to the free stage; the target is infeasible unless it is > 0."""
     _in_range("eps_est", eps_est, 0.0, math.inf)
     _in_range("eps", eps, eps_est, math.inf, "()")
-    h = eps - eps_est - stage_error
-    if h <= 0.0:
-        return None
-    return h
+    return eps - eps_est - stage_error
 
 
 def r_min(
@@ -190,9 +189,7 @@ def r_min(
     None when the target is infeasible at any rate (the estimation and
     decode stages already exhaust the budget)."""
     h = _headroom(eps, eps_est, dec.error(t_budget))
-    if h is None:
-        return None
-    return max(0.0, enc.d * math.log2(enc.c2 / h))
+    return max(0.0, enc.d * math.log2(enc.c2 / h)) if h > 0.0 else None
 
 
 def t_min(
@@ -204,9 +201,7 @@ def t_min(
 ) -> float | None:
     """Least compute budget meeting eps at the given rate; None if infeasible."""
     h = _headroom(eps, eps_est, enc.error(rate))
-    if h is None:
-        return None
-    return max(0.0, math.log(dec.delta0 / h) / math.log(1.0 / dec.rho))
+    return max(0.0, math.log(dec.delta0 / h) / math.log(1.0 / dec.rho)) if h > 0.0 else None
 
 
 def sla_surface(
@@ -253,7 +248,12 @@ def fit_encoder_model(
     if d is None:
         if r.min() == r.max():  # the slope through one rate is undefined
             raise ValueError("need at least two distinct rates")
-        slope, intercept = np.polyfit(r, y, 1)
+        with warnings.catch_warnings():  # numpy's own "always" filter outranks -W error
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            try:
+                slope, intercept = np.polyfit(r, y, 1)
+            except np.exceptions.RankWarning as exc:
+                raise ValueError(f"rates too close together for a slope fit ({exc})") from None
         if slope >= 0.0:
             raise ValueError("distortion does not decay with rate; no valid fit")
         d_eff = -1.0 / slope

@@ -8,14 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import QuantizedFamily, _decode_bits, _dequantize_rows, dequantize, pack
-from .image_io import _in_range
+from .image_io import _in_range, _row_blocks
 from .metrics import _d_pc_batch
 from .rank_copula import _check_masses
-
-# Trials flipped, decoded and scored together, and the unit the channel sweep
-# spreads over the CPUs. The block bounds the working set: its flip plane is
-# (block, payload bits) bool.
-TRIAL_BLOCK = 64
 
 
 def transmit(data: bytes, ber: float, seed: int) -> bytes:
@@ -67,21 +62,26 @@ def ber_experiment(
     return _ber_experiments(q, [(ber, trials, master_seed)])[0]
 
 
-def _ber_experiments(q: QuantizedFamily, runs, map_blocks=map) -> list[ChannelExperiment]:
-    """One ChannelExperiment per (ber, trials, master_seed) run; trial t flips
-    the bits transmit(payload, ber, trial_seed(master_seed, t)) flips. The
-    blocks of TRIAL_BLOCK trials of all runs are scored by map_blocks, as by
-    map: each XORs its flip plane with the payload bits once."""
+def _check_runs(runs) -> None:
+    """ValueError unless each (ber, trials, master_seed) run has a trial and a ber in [0, 0.5]."""
     for ber, trials, _ in runs:
         _in_range("trials", trials, 1, math.inf, "[)")
         _in_range("ber", ber, 0.0, 0.5)
+
+
+def _ber_experiments(q: QuantizedFamily, runs, map_blocks=map) -> list[ChannelExperiment]:
+    """One ChannelExperiment per (ber, trials, master_seed) run; trial t flips
+    the bits transmit(payload, ber, trial_seed(master_seed, t)) flips. map_blocks
+    scores the _row_blocks of each run's (trials, payload bits) flip plane, as
+    map would; each block XORs its flip plane with the payload bits once."""
+    _check_runs(runs)
     n = len(q.deltas)
     reference = dequantize(q).cells.reshape(n, -1)
     bits = np.unpackbits(np.frombuffer(pack(q), dtype=np.uint8)).astype(bool)
 
-    def score(block: tuple[int, int]) -> list[float]:
-        (ber, trials, seed), start = runs[block[0]], block[1]
-        ts = range(start, min(start + TRIAL_BLOCK, trials))
+    def score(block: tuple[int, slice]) -> list[float]:
+        ber, trials, seed = runs[block[0]]
+        ts = range(trials)[block[1]]
         plane = np.stack([_flips(bits.size, ber, trial_seed(seed, t)) for t in ts])
         plane ^= bits
         indices = _decode_bits(plane, q.alpha, q.indices.size).reshape(len(ts), n, -1)
@@ -89,11 +89,11 @@ def _ber_experiments(q: QuantizedFamily, runs, map_blocks=map) -> list[ChannelEx
         _check_masses(cells.reshape(-1, cells.shape[-1]), "cell masses")
         return _d_pc_batch(reference, cells).tolist()
 
-    blocks = [(k, s) for k, r in enumerate(runs) for s in range(0, r[1], TRIAL_BLOCK)]
+    blocks = [(k, s) for k, r in enumerate(runs) for s in _row_blocks(r[1], bits.size)]
     scored = iter(map_blocks(score, blocks))
     out = []
     for ber, trials, _ in runs:
-        d = [x for _ in range(0, trials, TRIAL_BLOCK) for x in next(scored)]
+        d = [x for _ in _row_blocks(trials, bits.size) for x in next(scored)]
         mean, std, lra = float(np.mean(d)), float(np.std(d)), q.bits * ber * q.alpha
         out.append(ChannelExperiment(ber, q.alpha, q.bits, trials, mean, std, lra, tuple(d)))
     return out

@@ -165,9 +165,14 @@ def rd_point(family: CopulaFamily, alpha: float) -> RdPoint:
     return RdPoint(alpha, rate_theory, rate_emp, dist, enc_distortion_bound(family.bins, alpha))
 
 
-def rd_sweep(family: CopulaFamily, alphas: Sequence[float]) -> list[RdPoint]:
-    """One point per alpha, sorted by alpha descending (rate ascending)."""
+def _alpha_sweep(alphas: Sequence[float]) -> tuple[float, ...]:
+    """rd_sweep's steps: a _sweep of quantizer steps, descending (rate ascending)."""
     alphas = _sweep("alpha", alphas)[::-1]
     for a in alphas:
         levels_for_alpha(a)
-    return [rd_point(family, a) for a in alphas]
+    return alphas
+
+
+def rd_sweep(family: CopulaFamily, alphas: Sequence[float]) -> list[RdPoint]:
+    """One point per alpha, sorted by alpha descending (rate ascending)."""
+    return [rd_point(family, a) for a in _alpha_sweep(alphas)]

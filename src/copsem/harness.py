@@ -33,9 +33,9 @@ from .bounds import (
     sla_surface,
     t_min,
 )
-from .channel import _ber_experiments, trial_seed
-from .codec import RdPoint, dequantize, quantize, rd_sweep
-from .image_io import U8, GrayImage, _in_range, _load_pgm, _sweep
+from .channel import _ber_experiments, _check_runs, trial_seed
+from .codec import RdPoint, _alpha_sweep, dequantize, levels_for_alpha, quantize, rd_sweep
+from .image_io import U8, GrayImage, _in_range, _load_pgm, _row_blocks, _sweep
 from .metrics import _d_pc_batch, d_pc, format_float, psnr, ssim
 from .rank_copula import (
     DEFAULT_BINS,
@@ -60,9 +60,6 @@ OPERATING_T = 20.0
 DEFAULT_EPS, DEFAULT_EPS_EST = 0.05, 0.01
 DEFAULT_CONCENTRATION = ConcentrationParams(4, 2, 0.1, 0.05)
 DEFAULT_CTRIALS, DEFAULT_CONTROL_N = 500, 10
-# (image, T) problems bisected together in _solve_weights. The block bounds
-# the kernel's working set: its arrays are (2, block, |deltas|, B^2).
-WEIGHT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -435,8 +432,9 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
     fit_header = ["image", "c2_fit", "d_eff", "r_squared"]
     rows, fit_rows, warnings = [], [], []
     over_bound, rate_excess = [], []
+    alphas = _alpha_sweep(cfg.alphas)  # before any extraction
     sweeps = _map_corpus(
-        cfg, lambda img: rd_sweep(extract_family(img, cfg.deltas, cfg.bins, cfg.stride), cfg.alphas)
+        cfg, lambda img: rd_sweep(extract_family(img, cfg.deltas, cfg.bins, cfg.stride), alphas)
     )
     for name, points in sweeps:
         for i, pt in enumerate(points):
@@ -564,10 +562,12 @@ def run_channel_sweep(cfg: ExperimentConfig, alpha: float = DEFAULT_ALPHA) -> Ex
     the mean by a factor in [1.6, 2.4] (check doubling_ratio; a fresh pair
     of runs at 400 trials each).
     """
-    q = quantize(fixture_family(cfg), float(alpha))
-    bers = _sweep("ber", cfg.bers)
+    alpha, bers = float(alpha), _sweep("ber", cfg.bers)
     runs = [(r, cfg.trials, trial_seed(cfg.seed, 73, i)) for i, r in enumerate(bers)]
     runs += [(1e-3, 400, trial_seed(cfg.seed, 91, 1)), (2e-3, 400, trial_seed(cfg.seed, 91, 2))]
+    _check_runs(runs)  # the input checks come before the fixture is built
+    levels_for_alpha(alpha)
+    q = quantize(fixture_family(cfg), alpha)
     *exps, lo, hi = _ber_experiments(q, runs, _fork_map)
     top = exps[-1]
     k_fit = top.mean_d_pc / top.shape_lra if top.shape_lra > 0 else 0.0
@@ -626,17 +626,17 @@ def _solve_weights(cells: np.ndarray, targets: np.ndarray | list[float]) -> np.n
     A target <= 0 gives 0.0, and 1.0 is returned when the uniform family is
     within target. Otherwise a bracket keeps d(lo) < target <= d(hi) and
     shrinks until no float lies strictly between lo and hi; the returned
-    midpoint is then one of the two. The problems are bisected in lockstep,
-    WEIGHT_BLOCK at a time: each step scores the midpoints of the problems
-    still open in one kernel call, and each problem visits exactly the
-    midpoints of its own bisection. A mix of two distributions needs no
-    mass check. A NaN target raises ValueError."""
+    midpoint is then one of the two. The problems are bisected in lockstep, a
+    _row_blocks block of the (P, D * n) cells at a time: each step scores the
+    midpoints of the block's open problems in one kernel call, and each problem
+    visits exactly the midpoints of its own bisection. A mix of two
+    distributions needs no mass check. A NaN target raises ValueError."""
     targets = np.asarray(targets, dtype=np.float64)
     _in_range("decoder target", float(targets.min(initial=math.inf)), -math.inf, math.inf)
     b2 = cells.shape[-1]
     out = np.zeros(len(targets))
-    for start in range(0, len(targets), WEIGHT_BLOCK):
-        idx = np.arange(start, min(start + WEIGHT_BLOCK, len(targets)))
+    for s in _row_blocks(len(targets), math.prod(cells.shape[1:])):
+        idx = np.arange(len(targets))[s]
         idx = idx[targets[idx] > 0.0]
         ref = cells[idx]
         capped = _d_pc_batch(ref, _mix_cells(ref, 1.0, b2)) <= targets[idx]
@@ -673,12 +673,13 @@ def run_sla_pipeline(
     A first pass extracts and encodes every image; one lockstep solve then
     finds the decoder weight of every (image, T); a second pass scores each
     image's decodes for all T at once."""
-    images = load_corpus(cfg)
     alpha, t_grid = float(alpha), _sweep("compute grid", t_grid)
+    targets = [dec.error(t) for t in t_grid]
+    levels_for_alpha(alpha)  # T and alpha are checked before the corpus is loaded
     sub = non_overlapping_stride(cfg.deltas)
     n, b2 = len(cfg.deltas), cfg.bins * cfg.bins
     stages = []
-    for name, img in images:
+    for name, img in load_corpus(cfg):
         truth = extract_family(img, cfg.deltas, cfg.bins, stride=1)
         est = extract_family(img, cfg.deltas, cfg.bins, stride=sub)
         enc_fam = dequantize(quantize(est, alpha))
@@ -686,7 +687,6 @@ def run_sla_pipeline(
         truth_cells, enc_cells = truth.cells.reshape(n, b2), enc_fam.cells.reshape(n, b2)
         stages.append((name, truth_cells, enc_cells, d_est, d_enc))
     problems = np.repeat([enc_cells for _, _, enc_cells, _, _ in stages], len(t_grid), axis=0)
-    targets = [dec.error(t) for t in t_grid]
     weights = _solve_weights(problems, targets * len(stages)).reshape(len(stages), len(t_grid))
     header = "image stride alpha T w d_est d_enc d_dec d_total bound holds".split()
     rows = []

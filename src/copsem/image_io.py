@@ -17,6 +17,7 @@ import numpy as np
 
 U8 = "u8"
 REAL = "real"
+_BLOCK = 1 << 16  # elements per block of the one working-set rule, _row_blocks
 
 
 def _in_range(name: str, value, lo, hi, ends: str = "[]", integer: bool = False):
@@ -43,6 +44,16 @@ def _sweep(name: str, values) -> tuple[float, ...]:
         if a == b:
             raise ValueError(f"{name} {a!r} repeated in the sweep")
     return values
+
+
+def _row_blocks(rows: int, cols: int):
+    """The one working-set rule: slices covering range(rows) in order,
+    max(1, _BLOCK // cols) whole rows each (the last may hold fewer): about
+    _BLOCK elements of a (rows, cols) array, or one row when a row is longer.
+    A block at a time keeps temporaries in cache: the pixel and count kernels'
+    copies and products, the channel's flip planes, the decoder-weight solve."""
+    step = max(1, _BLOCK // cols)
+    return (slice(r, r + step) for r in range(0, rows, step))
 
 
 def _same_values(self, other):
@@ -189,16 +200,13 @@ def write_pgm(img: GrayImage) -> bytes:
 
 
 def synth_gradient(width: int, height: int) -> GrayImage:
-    """Raster ramp: pixel k of N is round(k * 255 / (N - 1)).
+    """Raster ramp: pixel k of N is round(k * 255 / (N - 1)), 0 when N = 1.
 
     Strictly increasing in raster order (all values distinct) whenever
     width * height <= 256.
     """
     n = width * height
-    if n == 1:
-        px = np.zeros((1, 1), dtype=np.uint8)
-    else:
-        px = np.round(np.arange(n) * 255.0 / (n - 1)).astype(np.uint8)
+    px = np.round(np.arange(n) * 255.0 / max(n - 1, 1)).astype(np.uint8)
     return GrayImage(width, height, px.reshape(height, width), U8)
 
 

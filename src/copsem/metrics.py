@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_io import U8, GrayImage
-from .rank_copula import CopulaFamily, Displacement, _check_masses, _row_blocks
+from .image_io import U8, GrayImage, _row_blocks
+from .rank_copula import CopulaFamily, Displacement, _check_masses
 
 LN2 = math.log(2.0)
 SQRT_LN2 = math.sqrt(LN2)
@@ -28,10 +28,14 @@ class IncomparableFamiliesError(ValueError):
     """Families differ in displacement set or bin count."""
 
 
-def _as_dist(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    _check_masses(arr.reshape(1, -1), name)
-    return arr
+def _dist_pair(p, q) -> list[np.ndarray]:
+    """p and q as flat float64 distributions of one length, else ValueError."""
+    pair = [np.asarray(x, dtype=np.float64).ravel() for x in (p, q)]
+    for name, arr in zip("pq", pair):
+        _check_masses(arr.reshape(1, -1), name)
+    if pair[0].size != pair[1].size:
+        raise ValueError(f"length mismatch: {pair[0].size} vs {pair[1].size}")
+    return pair
 
 
 def _row_sums(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -96,18 +100,12 @@ def js_divergence(p, q) -> float:
     total-variation comparison JS <= ln(2) * TV(P, Q) holds for every pair
     and is tight exactly on disjoint supports.
     """
-    p = _as_dist(p, "p")
-    q = _as_dist(q, "q")
-    if p.size != q.size:
-        raise ValueError(f"length mismatch: {p.size} vs {q.size}")
+    p, q = _dist_pair(p, q)
     return float(_js_batch(p[None], q[None, None])[0, 0])
 
 
 def l1_distance(p, q) -> float:
-    p = _as_dist(p, "p")
-    q = _as_dist(q, "q")
-    if p.size != q.size:
-        raise ValueError(f"length mismatch: {p.size} vs {q.size}")
+    p, q = _dist_pair(p, q)
     return float(np.abs(p - q).sum())
 
 

@@ -17,10 +17,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .image_io import U8, GrayImage, _in_range, _same_values
+from .image_io import _BLOCK, U8, GrayImage, _in_range, _row_blocks, _same_values
 
 SERIAL_VERSION = 1
-_BLOCK = 1 << 16  # codes per block of the per-pixel counts and lookups
 
 
 class Displacement(NamedTuple):
@@ -203,16 +202,6 @@ def _json_int(v) -> int:
 
 def _reject_json_constant(token: str):
     raise ValueError(f"non-finite number {token} in family JSON")
-
-
-def _row_blocks(rows: int, cols: int):
-    """Slices covering range(rows) in order, max(1, _BLOCK // cols) whole rows
-    each (the last may hold fewer): about _BLOCK elements of a (rows, cols)
-    array, or one row when a row is longer. Per-pixel work done a block at a
-    time keeps its temporaries in cache (intp copies of np.bincount and
-    np.take indices, the integer products of ssim and psnr, dctq's 8x8 blocks)."""
-    step = max(1, _BLOCK // cols)
-    return (slice(r, r + step) for r in range(0, rows, step))
 
 
 def _midranks(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:

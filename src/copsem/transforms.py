@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_io import REAL, U8, GrayImage, _in_range
-from .rank_copula import _row_blocks
+from .image_io import REAL, U8, GrayImage, _in_range, _row_blocks
 
 BRIGHTNESS = "brightness"
 CONTRAST = "contrast"

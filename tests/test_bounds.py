@@ -217,6 +217,12 @@ def test_fit_rejects_degenerate_input():
     assert d_eff == 300.0 and c2 > 0.0
 
 
+def test_fit_rejects_an_ill_conditioned_slope():
+    # numpy's RankWarning used to pass any -W error filter and leave R^2 near 1e-15
+    with pytest.raises(ValueError, match="^rates too close together for a slope fit"):
+        fit_encoder_model([1e17, 1e17 + 16, 1e17 + 32], [0.3, 0.2, 0.1])
+
+
 def test_rates_finite_at_subnormal_steps():
     # 1 / x overflows to inf for these x; log2(1 / x) = -log2(x) does not
     tiny = 5e-324  # 2**-1074

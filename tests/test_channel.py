@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copsem.channel import (
-    TRIAL_BLOCK,
     ber_experiment,
     transmit,
     trial_seed,
 )
 from copsem.codec import dequantize, pack, quantize, unpack
+from copsem.image_io import _BLOCK
 from copsem.metrics import d_pc
 
 from conftest import make_family
@@ -100,19 +100,14 @@ def _trial_by_trial(q, ber, trials, master_seed):
     return tuple(out)
 
 
-@pytest.mark.parametrize("alpha", [1 / 64, 0.1])  # 0.1: 11 levels in 4 bits, so indices clamp
-@pytest.mark.parametrize("ber", [0.0, 1e-3, 0.5])
-def test_blocked_trials_match_trial_by_trial(rng, alpha, ber):
-    q = quantize(make_family(rng, conc=0.3), alpha)
-    trials = TRIAL_BLOCK + 6  # one full block and one partial block
-    exp = ber_experiment(q, ber, trials, 31)
-    assert exp.distortions == _trial_by_trial(q, ber, trials, 31)
-    assert len(exp.distortions) == trials
+def _trials_per_block(q):
+    """Trials in a full block: whole rows of about _BLOCK elements of the
+    (trials, payload bits) flip plane, and at least one."""
+    return max(1, _BLOCK // (8 * len(pack(q))))
 
 
-@pytest.mark.parametrize("ber", [0.0, 1e-2, 0.5])
-def test_flip_plane_rows_are_transmitted_streams(rng, monkeypatch, ber):
-    # each row of a block's corrupted bit plane is the bits of one transmit call
+def _recorded_planes(monkeypatch):
+    """The corrupted bit plane of each block, in the order they are decoded."""
     from copsem import channel
 
     planes = []
@@ -123,11 +118,42 @@ def test_flip_plane_rows_are_transmitted_streams(rng, monkeypatch, ber):
         return decode(bits, alpha, n_cells)
 
     monkeypatch.setattr(channel, "_decode_bits", recording_decode)
+    return planes
+
+
+@pytest.mark.parametrize("alpha", [1 / 64, 0.1])  # 0.1: 11 levels in 4 bits, so indices clamp
+@pytest.mark.parametrize("ber", [0.0, 1e-3, 0.5])
+def test_blocked_trials_match_trial_by_trial(rng, monkeypatch, alpha, ber):
+    q = quantize(make_family(rng, conc=0.3), alpha)
+    step = _trials_per_block(q)  # 36 trials of 1792 bits at 1/64, 64 of 1024 bits at 0.1
+    trials = step + 6  # one full block and one partial block
+    planes = _recorded_planes(monkeypatch)
+    exp = ber_experiment(q, ber, trials, 31)
+    assert [len(p) for p in planes] == [step, 6]
+    assert exp.distortions == _trial_by_trial(q, ber, trials, 31)
+    assert len(exp.distortions) == trials
+
+
+def test_payload_longer_than_a_block_goes_one_trial_a_block(rng, monkeypatch):
+    # 64 bins: 4 * 4096 cells of 7 bits, a 114,688-bit payload, more than _BLOCK
+    q = quantize(make_family(rng, bins=64, conc=0.3), 1 / 64)
+    assert 8 * len(pack(q)) == 114_688 > _BLOCK
+    planes = _recorded_planes(monkeypatch)
+    exp = ber_experiment(q, 1e-2, 3, 31)
+    assert [len(p) for p in planes] == [1, 1, 1]
+    assert exp.distortions == _trial_by_trial(q, 1e-2, 3, 31)
+
+
+@pytest.mark.parametrize("ber", [0.0, 1e-2, 0.5])
+def test_flip_plane_rows_are_transmitted_streams(rng, monkeypatch, ber):
+    # each row of a block's corrupted bit plane is the bits of one transmit call
+    planes = _recorded_planes(monkeypatch)
     q = quantize(make_family(rng, conc=0.3), 0.1)  # 4 bits a cell
     payload = pack(q)
-    trials, seed = TRIAL_BLOCK + 6, 77
+    step = _trials_per_block(q)
+    trials, seed = step + 6, 77
     ber_experiment(q, ber, trials, seed)
-    assert [len(p) for p in planes] == [TRIAL_BLOCK, 6]
+    assert [len(p) for p in planes] == [step, 6]
     for t, row in enumerate(np.concatenate(planes)):
         sent = transmit(payload, ber, trial_seed(seed, t))
         assert np.array_equal(row, np.unpackbits(np.frombuffer(sent, dtype=np.uint8)))

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from copsem.bounds import ConcentrationParams, DecoderModel, EncoderModel
 from copsem import harness
+from copsem.image_io import _BLOCK, _row_blocks
 from copsem.harness import (
     DEFAULT_ALPHAS,
-    WEIGHT_BLOCK,
     ExperimentConfig,
     _cell,
     _solve_weights,
@@ -400,35 +400,49 @@ def _encoded_corpus(cfg):
     ]
 
 
-def _lockstep_matches_stepwise(encs, targets):
+def _lockstep_matches_stepwise(monkeypatch, encs, targets):
+    """Solve every (enc, target) problem in one _solve_weights call, check it
+    against the stepwise bisection, and return the problem counts of the
+    blocks the call walked."""
+    blocks = []
+
+    def recording_row_blocks(rows, cols):
+        slices = list(_row_blocks(rows, cols))
+        blocks.extend(len(range(rows)[s]) for s in slices)
+        return slices
+
+    monkeypatch.setattr(harness, "_row_blocks", recording_row_blocks)
     problems = [(enc, target) for enc in encs for target in targets]
     cells = np.stack([enc.cells.reshape(len(enc.deltas), -1) for enc, _ in problems])
     got = _solve_weights(cells, np.array([target for _, target in problems]))
     assert got.tolist() == [_stepwise_decoder_weight(enc, target) for enc, target in problems]
-    return len(problems)
+    return blocks
 
 
-def test_decoder_weight_matches_the_stepwise_bisection():
+def test_decoder_weight_matches_the_stepwise_bisection(monkeypatch):
     # every corpus image at the default T grid and at T = 300, where the
     # target is near 1e-15, plus three targets that need no bisection: 180
-    # problems in one lockstep call, more than one block
+    # problems of 4 * 64 cells, one block of up to 256 problems
     cfg = ExperimentConfig()
     dec = DecoderModel(0.9, 0.1)
     encs = _encoded_corpus(cfg)
     assert len(encs) == 20
     targets = [dec.error(t) for t in (0.0, 5.0, 10.0, 20.0, 40.0, 300.0)] + [0.0, -1.0, 10.0]
-    assert _lockstep_matches_stepwise(encs, targets) > WEIGHT_BLOCK
+    assert _lockstep_matches_stepwise(monkeypatch, encs, targets) == [180]
     tex02_t300 = encs[2], targets[5]
     assert solve_decoder_weight(*tex02_t300) == _stepwise_decoder_weight(*tex02_t300)
 
 
-def test_decoder_weight_matches_the_stepwise_bisection_at_256_cells():
+def test_decoder_weight_matches_the_stepwise_bisection_at_256_cells(monkeypatch):
     # the mixed rows have all 256 cells in their support, so their sums are
-    # long enough for numpy to split them into blocks
+    # long enough for numpy to split them into blocks; problems of 4 * 256
+    # cells go 64 to a block, so 72 problems make one full and one partial block
     cfg = ExperimentConfig(bins=16)
     dec = DecoderModel(0.9, 0.1)
-    encs = _encoded_corpus(cfg)[:3]
-    _lockstep_matches_stepwise(encs, [dec.error(t) for t in (0.0, 20.0, 300.0)])
+    encs = _encoded_corpus(cfg)[:18]
+    targets = [dec.error(t) for t in (0.0, 20.0, 300.0)] + [0.0]
+    assert _BLOCK // (4 * 256) == 64
+    assert _lockstep_matches_stepwise(monkeypatch, encs, targets) == [64, 8]
 
 
 def test_decoder_weight_rejects_a_nan_target():
@@ -441,6 +455,32 @@ def test_decoder_weight_rejects_a_nan_target():
         targets[k] = math.nan
         with pytest.raises(ValueError, match="^decoder target must be in"):
             _solve_weights(cells, targets)
+
+
+@pytest.mark.parametrize(
+    "run, fields, kwargs, message",
+    [
+        (run_rd_curve, dict(alphas=(0.125, 0.125)), {}, r"^alpha 0\.125 repeated in the sweep$"),
+        (run_rd_curve, dict(alphas=(2.0,)), {}, "^alpha must be in"),
+        (run_channel_sweep, dict(bers=(1e-3, 1e-3)), {}, r"^ber 0\.001 repeated in the sweep$"),
+        (run_channel_sweep, dict(bers=(0.7,)), {}, "^ber must be in"),
+        (run_channel_sweep, dict(trials=0), {}, "^trials must be in"),
+        (run_channel_sweep, {}, dict(alpha=2.0), "^alpha must be in"),
+        (run_sla_pipeline, {}, dict(t_grid=(5.0, 5.0)), r"^compute grid 5\.0 repeated in the sweep$"),
+        (run_sla_pipeline, {}, dict(t_grid=(-1.0, 5.0)), "^compute budget must be in"),
+        (run_sla_pipeline, {}, dict(alpha=math.nan), "^alpha must be in"),
+    ],
+    ids="rd-repeat rd-alpha channel-repeat channel-ber channel-trials channel-alpha "
+    "sla-repeat sla-budget sla-alpha".split(),
+)
+def test_runners_check_input_before_extracting(monkeypatch, run, fields, kwargs, message):
+    def extract(*args, **kw):
+        raise AssertionError("extracted before the input was checked")
+
+    monkeypatch.setattr(harness, "extract_family", extract)
+    monkeypatch.setattr(harness, "load_corpus", extract)
+    with pytest.raises(ValueError, match=message):
+        run(ExperimentConfig(**fields), **kwargs)
 
 
 def test_csv_determinism(tmp_path):

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
-from copsem.image_io import REAL, GrayImage, synth_gradient, synth_noise
+from copsem.image_io import _BLOCK, REAL, GrayImage, _row_blocks, synth_gradient, synth_noise
 from copsem.rank_copula import (
-    _BLOCK,
-    _row_blocks,
     DEFAULT_DELTAS,
     CopulaFamily,
     Displacement,
