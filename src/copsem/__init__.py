@@ -14,7 +14,6 @@ from .rank_copula import (
     Displacement,
     EmpiricalCopula,
     RankField,
-    extract_copula,
     extract_family,
     coarsen,
     non_overlapping_stride,

@@ -42,15 +42,15 @@ class QuantizedFamily:
 
     def __post_init__(self):
         lv = levels_for_alpha(self.alpha)
+        bins = _in_range("bins", self.bins, 1, math.inf, "[)", integer=True)
         deltas = _displacements(self.deltas)
         arr = np.array(self.indices, dtype=np.int64)
-        if arr.shape != (len(deltas), self.bins, self.bins):
-            raise ValueError(
-                f"index array shape {arr.shape} != ({len(deltas)}, {self.bins}, {self.bins})"
-            )
+        if arr.shape != (len(deltas), bins, bins):
+            raise ValueError(f"index array shape {arr.shape} != ({len(deltas)}, {bins}, {bins})")
         if arr.min() < 0 or arr.max() >= lv:
             raise ValueError(f"index outside [0, {lv - 1}]")
         arr.flags.writeable = False
+        object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "indices", arr)
 
@@ -128,6 +128,7 @@ def unpack(
     above levels - 1 (possible only on corrupted streams when levels is
     not a power of two) clamp to levels - 1; trailing pad bits are ignored.
     """
+    bins = _in_range("bins", bins, 1, math.inf, "[)", integer=True)
     deltas = tuple(Displacement(*d) for d in deltas)
     n_cells = len(deltas) * bins * bins
     expected = (n_cells * bits_per_cell(alpha) + 7) // 8

@@ -25,6 +25,7 @@ from .bounds import (
     DecoderModel,
     EncoderModel,
     SlaBudget,
+    _headroom,
     fit_encoder_model,
     nominal_d,
     r_min,
@@ -742,6 +743,7 @@ def run_sla_surface(
     decreasing_in_R / decreasing_in_T, observed as the largest step), and a
     finite r_min at T = OPERATING_T and eps (check operating_point_feasible).
     """
+    _headroom(eps, eps_est, 0.0)
     if enc is None:
         enc = fit_encoder_from_fixture(cfg)
     r_grid = tuple(float(v) for v in np.linspace(0.0, 1500.0, 21))

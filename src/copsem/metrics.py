@@ -182,7 +182,7 @@ def ssim(a: GrayImage, b: GrayImage) -> float:
 
     Window statistics use population moments. Images smaller than the
     window in either direction are treated as a single window; otherwise
-    partial border strips are dropped.
+    border strips narrower than a window are dropped.
     """
     _check_u8_pair(a, b)
     k, n = SSIM_WINDOW, SSIM_WINDOW**2

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -77,7 +76,7 @@ class RankField:
     u: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.u, dtype=np.float64).reshape(self.height, self.width)
+        arr = np.array(self.u, dtype=np.float64).reshape(self.height, self.width)
         if arr.size == 0:
             raise ValueError("empty rank field")
         if arr.min() <= 0.0 or arr.max() >= 1.0:
@@ -236,28 +235,9 @@ def _anchor_range(extent: int, offset: int, stride: int) -> range:
     return range(-(-lo // stride) * stride, extent - max(0, offset), stride)
 
 
-def extract_copula(
-    field: RankField,
-    delta: Displacement,
-    bins: int = DEFAULT_BINS,
-    stride: int = 1,
-) -> EmpiricalCopula:
-    """Histogram (u(p), u(p + delta)) over the stride-lattice of anchors p.
-
-    Cell (i, j) with i = floor(u(p) * B) and j = floor(u(p+delta) * B), both
-    clamped to B - 1, normalized by the pair count. stride = 1 uses every
-    valid pair; stride >= 2 * max(|dx|, |dy|) + 1 makes the pairs disjoint
-    (no pixel participates twice).
-    """
-    bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
-    cell = _bin_of(field.u, bins)
-    fill = partial(np.copyto, src=cell)
-    return _count_family(fill, cell.shape, [Displacement(*delta)], bins, stride)[0]
-
-
-def _count_family(fill, shape, deltas, bins: int, stride: int) -> list[EmpiricalCopula]:
-    """One copula per displacement from the (height, width) bin map that
-    fill(out) writes into out, inside a border of the sentinel code bins
+def _count_family(inverse, table, deltas, bins: int, stride: int) -> list[EmpiricalCopula]:
+    """One copula per displacement from the (height, width) bin map
+    table[inverse], written inside a border of the sentinel code bins
     ("partner outside the image") as wide as some displacement reaches.
 
     Each anchor gets one joint code: its own bin, then each partner's code
@@ -267,7 +247,7 @@ def _count_family(fill, shape, deltas, bins: int, stride: int) -> list[Empirical
     are the histogram summed over the other partners, without the sentinel.
     """
     stride = _in_range("stride", stride, 1, math.inf, "[)", integer=True)
-    height, width = shape
+    height, width = inverse.shape
     n_pairs = []
     for d in deltas:
         if d == (0, 0):
@@ -282,7 +262,9 @@ def _count_family(fill, shape, deltas, bins: int, stride: int) -> list[Empirical
     dxs, dys = zip((0, 0), *deltas)
     left, top, right, bottom = -min(dxs), -min(dys), max(dxs), max(dys)
     padded = np.full((top + height + bottom, left + width + right), bins, np.min_scalar_type(bins))
-    fill(padded[top : top + height, left : left + width])
+    cell = padded[top : top + height, left : left + width]
+    for s in _row_blocks(height, width):
+        np.take(table, inverse[s], out=cell[s])
     own, *partners = (
         padded[top + dy : top + dy + height : stride, left + dx : left + dx + width : stride]
         for dx, dy in ((0, 0), *deltas)
@@ -310,20 +292,20 @@ def extract_family(
     bins: int = DEFAULT_BINS,
     stride: int = 1,
 ) -> CopulaFamily:
-    """Bin every distinct pixel value once, then count all displacements
-    together from the shared bin map; the same values as
-    extract_copula(rank_transform(img), delta, bins, stride) for each delta.
+    """Histogram (u(p), u(p + delta)) over the stride-lattice of anchors p,
+    for each delta, with u = rank_transform(img).u.
+
+    Cell (i, j) of delta's copula, with i = floor(u(p) * B) and
+    j = floor(u(p + delta) * B), both clamped to B - 1, is normalized by
+    the pair count. stride = 1 uses every valid pair; stride >= 2 *
+    max(|dx|, |dy|) + 1 makes the pairs disjoint (no pixel participates
+    twice). Each distinct pixel value is binned once, and all displacements
+    are counted together from the shared bin map.
     """
     deltas = tuple(Displacement(*d) for d in deltas)
     bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
     inverse, u = _midranks(img)
-    table = _bin_of(u, bins)
-
-    def fill(cell):
-        for s in _row_blocks(*inverse.shape):
-            np.take(table, inverse[s], out=cell[s])
-
-    copulas = _count_family(fill, inverse.shape, deltas, bins, stride)
+    copulas = _count_family(inverse, _bin_of(u, bins), deltas, bins, stride)
     cells = np.asarray([c.cells for c in copulas])
     return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
 

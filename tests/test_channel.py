@@ -126,7 +126,7 @@ def _recorded_planes(monkeypatch):
 def test_blocked_trials_match_trial_by_trial(rng, monkeypatch, alpha, ber):
     q = quantize(make_family(rng, conc=0.3), alpha)
     step = _trials_per_block(q)  # 36 trials of 1792 bits at 1/64, 64 of 1024 bits at 0.1
-    trials = step + 6  # one full block and one partial block
+    trials = step + 6  # one full block and one short block
     planes = _recorded_planes(monkeypatch)
     exp = ber_experiment(q, ber, trials, 31)
     assert [len(p) for p in planes] == [step, 6]

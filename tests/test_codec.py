@@ -169,6 +169,22 @@ def test_repeated_displacement_rejected():
         unpack(bytes(3), 1 / 4, 2, (RIGHT, RIGHT))  # 2 x 4 cells x 3 bits
 
 
+def test_whole_float_bins_act_as_ints(rng):
+    q = quantize(make_family(rng, bins=8, n_deltas=2), 1 / 16)
+    back = unpack(pack(q), q.alpha, 8.0, q.deltas)
+    assert back == q and type(back.bins) is int
+    assert type(QuantizedFamily(q.alpha, 8.0, q.deltas, q.indices).bins) is int
+
+
+@pytest.mark.parametrize("bins", [8.5, 0, -8, math.nan])
+def test_bins_outside_the_range_rule_raise(rng, bins):
+    q = quantize(make_family(rng, bins=8, n_deltas=2), 1 / 16)
+    with pytest.raises(ValueError, match="^bins must be"):
+        unpack(pack(q), q.alpha, bins, q.deltas)
+    with pytest.raises(ValueError, match="^bins must be"):
+        QuantizedFamily(q.alpha, bins, q.deltas, q.indices)
+
+
 def test_unpack_clamps_corrupt_indices():
     # levels = 3 at alpha = 0.4, but two bits can encode 3; a corrupted
     # stream with bit pattern 11 must clamp to the top valid level

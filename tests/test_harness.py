@@ -436,7 +436,7 @@ def test_decoder_weight_matches_the_stepwise_bisection(monkeypatch):
 def test_decoder_weight_matches_the_stepwise_bisection_at_256_cells(monkeypatch):
     # the mixed rows have all 256 cells in their support, so their sums are
     # long enough for numpy to split them into blocks; problems of 4 * 256
-    # cells go 64 to a block, so 72 problems make one full and one partial block
+    # cells go 64 to a block, so 72 problems make one full and one short block
     cfg = ExperimentConfig(bins=16)
     dec = DecoderModel(0.9, 0.1)
     encs = _encoded_corpus(cfg)[:18]
@@ -469,9 +469,11 @@ def test_decoder_weight_rejects_a_nan_target():
         (run_sla_pipeline, {}, dict(t_grid=(5.0, 5.0)), r"^compute grid 5\.0 repeated in the sweep$"),
         (run_sla_pipeline, {}, dict(t_grid=(-1.0, 5.0)), "^compute budget must be in"),
         (run_sla_pipeline, {}, dict(alpha=math.nan), "^alpha must be in"),
+        (run_sla_surface, {}, dict(eps_est=-1.0), r"^eps_est must be in \[0\.0, inf\], got -1\.0$"),
+        (run_sla_surface, {}, dict(eps=0.005), r"^eps must be in \(0\.01, inf\), got 0\.005$"),
     ],
     ids="rd-repeat rd-alpha channel-repeat channel-ber channel-trials channel-alpha "
-    "sla-repeat sla-budget sla-alpha".split(),
+    "sla-repeat sla-budget sla-alpha surface-eps_est surface-eps".split(),
 )
 def test_runners_check_input_before_extracting(monkeypatch, run, fields, kwargs, message):
     def extract(*args, **kw):

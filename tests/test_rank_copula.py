@@ -15,8 +15,8 @@ from copsem.rank_copula import (
     Displacement,
     EmptySampleError,
     EmpiricalCopula,
+    RankField,
     coarsen,
-    extract_copula,
     extract_family,
     non_overlapping_stride,
     rank_transform,
@@ -45,6 +45,13 @@ def test_rank_constant_image():
 def test_rank_open_interval(rng):
     field = rank_transform(as_image(rng.integers(0, 256, (13, 9))))
     assert np.all(field.u > 0.0) and np.all(field.u < 1.0)
+
+
+def test_rank_field_copies_its_array():
+    values = np.full((2, 3), 0.5)
+    field = RankField(3, 2, values)
+    values[0, 0] = 0.9
+    assert field.u[0, 0] == 0.5
 
 
 # (300, 300) and (3, 70000) cross blocks of the value count: a ragged last
@@ -82,20 +89,14 @@ def _gather_counts(u, delta, bins, stride):
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("bins", [2, 5, 8])
 def test_copula_matches_gather_reference(stride, bins):
-    field = rank_transform(synth_noise(23, 17, 11))
+    img = synth_noise(23, 17, 11)
+    field = rank_transform(img)
     for delta in (RIGHT, DOWN, (1, 1), (1, -1), (-2, 3), (0, -4), (5, -1)):
         delta = Displacement(*delta)
         counts, n_pairs = _gather_counts(field.u, delta, bins, stride)
-        cop = extract_copula(field, delta, bins, stride)
-        assert cop.n_pairs == n_pairs, delta
-        assert np.array_equal(cop.cells, counts / n_pairs), delta
-
-
-def _stacked_family(img, deltas, bins, stride):
-    field = rank_transform(img)
-    copulas = [extract_copula(field, d, bins, stride) for d in deltas]
-    cells = [c.cells for c in copulas]
-    return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
+        fam = extract_family(img, [delta], bins, stride)
+        assert fam.n_pairs == (n_pairs,), delta
+        assert np.array_equal(fam.cells[0], counts / n_pairs), delta
 
 
 # one row; rows wider than a block, one a block; a ragged last block;
@@ -124,12 +125,11 @@ def test_blocked_counts_match_gather_reference(shape, bins, stride):
 
 
 def _check_against_gather(u8, deltas, bins, stride):
-    """extract_family of u8 and of a REAL image in the same order equals both
-    the stacked extract_copula family and the gather reference."""
+    """extract_family of u8 and of a REAL image in the same order equals the
+    gather reference."""
     real = GrayImage(u8.width, u8.height, u8.pixels * 0.37 - 1.5, domain=REAL)
     for img in (u8, real):
         fam = extract_family(img, deltas, bins, stride)
-        assert fam == _stacked_family(img, deltas, bins, stride)
         field = rank_transform(img)
         for d, cells, n_pairs in zip(deltas, fam.cells, fam.n_pairs):
             counts, want_pairs = _gather_counts(field.u, d, bins, stride)
@@ -204,13 +204,14 @@ def test_family_equals_stacked_copulas(shape, real, levels, seed, deltas, bins, 
     img = _tied_image(shape, real, levels, seed)
     deltas = [Displacement(*d) for d in deltas]
     try:
-        want = _stacked_family(img, deltas, bins, stride)
+        singles = [extract_family(img, [d], bins, stride) for d in deltas]
     except EmptySampleError as exc:
         with pytest.raises(EmptySampleError, match=re.escape(str(exc))):
             extract_family(img, deltas, bins, stride)
         return
     fam = extract_family(img, deltas, bins, stride)
-    assert fam == want
+    assert np.array_equal(fam.cells, [one.cells[0] for one in singles])
+    assert fam.n_pairs == tuple(one.n_pairs[0] for one in singles)
     u = rank_transform(img).u
     for d, cells, n_pairs in zip(deltas, fam.cells, fam.n_pairs):
         counts, want_pairs = _gather_counts(u, d, bins, stride)
@@ -238,10 +239,9 @@ def test_family_equals_stacked_copulas(shape, real, levels, seed, deltas, bins, 
 def test_family_errors_keep_their_order(real, bins, stride, deltas, error, message):
     img = _tied_image((3, 4), real, 3, 0)
     deltas = [Displacement(*d) for d in deltas]
-    for build in (extract_family, _stacked_family):
-        with pytest.raises(ValueError) as info:
-            build(img, deltas, bins, stride)
-        assert (type(info.value), str(info.value)) == (error, message), build
+    with pytest.raises(ValueError) as info:
+        extract_family(img, deltas, bins, stride)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_copula_two_by_two():
@@ -251,10 +251,10 @@ def test_copula_two_by_two():
 
 
 def test_copula_empty_sample():
-    field = rank_transform(as_image([[1], [2], [3]]))
+    img = as_image([[1], [2], [3]])
     for delta, stride in ((RIGHT, 1), ((0, 5), 1), ((0, -5), 1), ((0, -1), 5)):
         with pytest.raises(EmptySampleError):
-            extract_copula(field, delta, bins=2, stride=stride)
+            extract_family(img, [delta], bins=2, stride=stride)
 
 
 def test_copula_iid_uniform_cells():
@@ -377,7 +377,8 @@ def test_family_validation():
 
 def test_coarsen_blocks():
     img = synth_noise(64, 64, 12)
-    cop = extract_copula(rank_transform(img), RIGHT, bins=8)
+    fam = extract_family(img, (RIGHT,), bins=8)
+    cop = EmpiricalCopula(fam.bins, fam.cells[0], fam.n_pairs[0])
     half = coarsen(cop, 2)
     assert half.bins == 4
     assert abs(half.cells.sum() - 1.0) < 1e-12
@@ -400,11 +401,9 @@ _UNIFORM = np.full((2, 2), 0.25)
 # (build from the value, name, accepted interval, an out-of-range finite value)
 SCALAR_RANGES = [
     (lambda v: extract_family(_IMG, (RIGHT,), v), "bins", "[2, inf)", 1),
-    (lambda v: extract_copula(rank_transform(_IMG), RIGHT, v), "bins", "[2, inf)", -1),
     (lambda v: EmpiricalCopula(v, _UNIFORM, 0), "bins", "[1, inf)", 0),
     (lambda v: EmpiricalCopula(2, _UNIFORM, v), "n_pairs", "[0, inf)", -1),
     (lambda v: extract_family(_IMG, (RIGHT,), 2, v), "stride", "[1, inf)", 0),
-    (lambda v: extract_copula(rank_transform(_IMG), RIGHT, 2, v), "stride", "[1, inf)", 0),
     (lambda v: CopulaFamily((RIGHT,), _UNIFORM[None], (0,), v), "stride", "[0, inf)", -1),
     (lambda v: coarsen(EmpiricalCopula(2, _UNIFORM, 0), v), "factor", "[2, inf)", 1),
 ]
@@ -412,11 +411,9 @@ SCALAR_RANGES = [
 
 SCALAR_RANGE_IDS = [
     "extract_family-bins",
-    "extract_copula-bins",
     "EmpiricalCopula-bins",
     "EmpiricalCopula-n_pairs",
     "extract_family-stride",
-    "extract_copula-stride",
     "CopulaFamily-stride",
     "coarsen-factor",
 ]
@@ -498,10 +495,9 @@ def test_from_json_parses_or_raises_value_error(text):
 
 def test_serial_matches_threaded():
     img = synth_noise(50, 50, 3)
-    field = rank_transform(img)
-    serial = [extract_copula(field, d, 8) for d in DEFAULT_DELTAS]
+    serial = [extract_family(img, [d], 8) for d in DEFAULT_DELTAS]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda d: extract_copula(field, d, 8), DEFAULT_DELTAS))
+        threaded = list(pool.map(lambda d: extract_family(img, [d], 8), DEFAULT_DELTAS))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.cells, b.cells)
 
