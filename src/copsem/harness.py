@@ -37,7 +37,9 @@ from .bounds import (
 from .channel import _ber_experiments, _check_runs, trial_seed
 from .codec import RdPoint, _alpha_sweep, dequantize, levels_for_alpha, quantize, rd_sweep
 from .image_io import U8, GrayImage, _in_range, _load_pgm, _row_blocks, _sweep
-from .metrics import _d_pc_batch, d_pc, format_float, psnr, ssim
+from .metrics import (
+    _d_pc_batch, _js, _layout, _layout_sum, _mean_sqrt, d_pc, format_float, psnr, ssim
+)
 from .rank_copula import (
     DEFAULT_BINS,
     DEFAULT_DELTAS,
@@ -475,16 +477,17 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _concentration_l1(params: ConcentrationParams, n: int, seed: int, arm: int, t: int) -> float:
     """One trial: sample n independence-copula pairs per displacement; the
-    mean L1 error of their empirical copulas."""
+    mean L1 error of their empirical copulas. The pairs are drawn and counted
+    in _row_blocks chunks of one stream: bounded memory, the same counts."""
     b = params.bins
-    uniform = 1.0 / (b * b)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 71, arm, t)))
-    u = rng.random((params.n_deltas, n, 2))
-    ij = (u[:, :, 0] * b).astype(np.int64) * b + (u[:, :, 1] * b).astype(np.int64)
     l1 = 0.0
-    for k in range(params.n_deltas):
-        counts = np.bincount(ij[k], minlength=b * b)
-        l1 += float(np.abs(counts / n - uniform).sum())
+    for _ in range(params.n_deltas):
+        counts = np.zeros(b * b, dtype=np.int64)
+        for s in _row_blocks(n, 2):
+            u = (rng.random((len(range(n)[s]), 2)) * b).astype(np.int64)
+            counts += np.bincount(u[:, 0] * b + u[:, 1], minlength=b * b)
+        l1 += float(np.abs(counts / n - 1.0 / (b * b)).sum())
     return l1 / params.n_deltas
 
 
@@ -619,6 +622,33 @@ def solve_decoder_weight(family: CopulaFamily, target: float) -> float:
     return float(_solve_weights(cells, [target])[0])
 
 
+def _mix_scorer(ref: np.ndarray):
+    """score(w) == _d_pc_batch(ref, _mix_cells(ref, w[:, None, None], n)) to the
+    last bit for (C, D, n) cells and (C,) weights, with the reference's layout
+    and the step buffers built once. A mix with w / n > 0 has full support, so
+    its rows form one full-width group; a step with a w / n == 0 does not."""
+    n = ref.shape[-1]
+    rows = ref.reshape(-1, n)
+    ref_layout, mix_layout = _layout(rows > 0.0), _layout(np.ones(rows.shape, dtype=bool))
+    kept = rows.reshape(-1)[ref_layout[1]]
+    mix, m, m_kept = np.empty(ref.shape), np.empty(ref.shape), np.empty_like(kept)
+
+    def score(w: np.ndarray) -> np.ndarray:
+        w = w[:, None, None]
+        if not np.all(w / n > 0.0):
+            return _d_pc_batch(ref, _mix_cells(ref, w, n))
+        np.add(np.multiply(1.0 - w, ref, out=mix), w / n, out=mix)
+        np.multiply(0.5, np.add(ref, mix, out=m), out=m)
+        np.take(m, ref_layout[1], out=m_kept, mode="clip")  # "raise" would buffer
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x, t in ((kept, m_kept), (mix, m)):  # t holds m, then x * log(x / m)
+                np.multiply(x, np.log(np.divide(x, t, out=t), out=t), out=t)
+        js = _js(_layout_sum(m_kept, ref_layout), _layout_sum(m.reshape(-1), mix_layout))
+        return _mean_sqrt(js.reshape(ref.shape[:-1]))
+
+    return score
+
+
 def _solve_weights(cells: np.ndarray, targets: np.ndarray | list[float]) -> np.ndarray:
     """For each problem p, the mixing weight w whose distortion
     d_pc(cells[p], (1 - w) * cells[p] + w * uniform) hits targets[p], for
@@ -627,33 +657,24 @@ def _solve_weights(cells: np.ndarray, targets: np.ndarray | list[float]) -> np.n
     A target <= 0 gives 0.0, and 1.0 is returned when the uniform family is
     within target. Otherwise a bracket keeps d(lo) < target <= d(hi) and
     shrinks until no float lies strictly between lo and hi; the returned
-    midpoint is then one of the two. The problems are bisected in lockstep, a
-    _row_blocks block of the (P, D * n) cells at a time: each step scores the
-    midpoints of the block's open problems in one kernel call, and each problem
-    visits exactly the midpoints of its own bisection. A mix of two
+    midpoint is then one of the two. The problems are bisected in lockstep, one
+    _mix_scorer per _row_blocks block of the (P, D * n) cells: each step scores
+    every problem of the block, and each visits exactly its own midpoints (a
+    finished one's is lo or hi, which its score leaves in place). A mix of two
     distributions needs no mass check. A NaN target raises ValueError."""
     targets = np.asarray(targets, dtype=np.float64)
     _in_range("decoder target", float(targets.min(initial=math.inf)), -math.inf, math.inf)
-    b2 = cells.shape[-1]
     out = np.zeros(len(targets))
     for s in _row_blocks(len(targets), math.prod(cells.shape[1:])):
         idx = np.arange(len(targets))[s]
         idx = idx[targets[idx] > 0.0]
-        ref = cells[idx]
-        capped = _d_pc_batch(ref, _mix_cells(ref, 1.0, b2)) <= targets[idx]
-        out[idx[capped]] = 1.0
-        idx = idx[~capped]
-        lo, hi = np.zeros(len(idx)), np.ones(len(idx))
-        while True:
-            mid = 0.5 * (lo + hi)
-            done = ~((lo < mid) & (mid < hi))
-            out[idx[done]] = mid[done]
-            idx, lo, hi, mid = idx[~done], lo[~done], hi[~done], mid[~done]
-            if not len(idx):
-                break
-            ref = cells[idx]
-            below = _d_pc_batch(ref, _mix_cells(ref, mid[:, None, None], b2)) < targets[idx]
+        score, target = _mix_scorer(cells[idx]), targets[idx]
+        hi = np.ones(len(idx))
+        lo = (score(hi) <= target).astype(np.float64)  # the capped problems start at lo = hi = 1
+        while ((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
+            below = score(mid) < target
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        out[idx] = mid
     return out
 
 

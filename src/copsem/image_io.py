@@ -50,8 +50,8 @@ def _row_blocks(rows: int, cols: int):
     """The one working-set rule: slices covering range(rows) in order,
     max(1, _BLOCK // cols) whole rows each (the last may hold fewer): about
     _BLOCK elements of a (rows, cols) array, or one row when a row is longer.
-    A block at a time keeps temporaries in cache: the pixel and count kernels'
-    copies and products, the channel's flip planes, the decoder-weight solve."""
+    A block at a time keeps temporaries in cache (the pixel and count kernels,
+    flip planes, the decoder-weight solve) or bounded (concentration draws)."""
     step = max(1, _BLOCK // cols)
     return (slice(r, r + step) for r in range(0, rows, step))
 

@@ -38,44 +38,53 @@ def _dist_pair(p, q) -> list[np.ndarray]:
     return pair
 
 
-def _row_sums(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """np.sum(a[r][keep[r]]) for every row r of two (R, m) arrays, to the last bit.
-
-    A sum along an axis of zero-filled rows takes another order, so other last
-    bits. numpy sums each row of a contiguous (rows, k) block as it sums the
-    row alone, so the rows are ordered by their count k of kept terms and the
-    kept terms of each k are summed as one block; dropped terms are not read."""
+def _layout(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The summation layout of an (R, m) keep mask: the rows ordered by their
+    count k of kept terms (a stable sort), the flat index of each kept term,
+    row by row in that order, and the number of rows of each k."""
     k = keep.sum(axis=1)
     rows = np.argsort(k, kind="stable")
-    terms = a[rows][keep[rows]]
-    out = np.empty(len(k))
+    index = (rows[:, None] * keep.shape[1] + np.arange(keep.shape[1]))[keep[rows]]
+    return rows, index, np.bincount(k).tolist()
+
+
+def _layout_sum(terms: np.ndarray, layout) -> np.ndarray:
+    """np.sum(a[r][keep[r]]) for every row r to the last bit, from the terms of
+    a gathered by the layout's index. A sum along an axis of zero-filled rows
+    takes another order, so other last bits. numpy sums each row of a
+    contiguous (rows, k) block as it sums the row alone, so the kept terms of
+    each k are summed as one block; dropped terms are not read."""
+    rows, _, counts = layout
+    out = np.empty(len(rows))
     i = j = 0  # first row and first term of the next block
-    for size, count in enumerate(np.bincount(k).tolist()):
+    for size, count in enumerate(counts):
         if count:
             out[rows[i : i + count]] = terms[j : j + count * size].reshape(count, size).sum(axis=1)
             i, j = i + count, j + count * size
     return out
 
 
+def _js(sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """JS from the sums of x * log(x / m) over each side's support, clamped to
+    [0, ln 2] (where it lies mathematically) against last-ulp float residue."""
+    js = 0.5 * sp
+    js += 0.5 * sq
+    np.maximum(js, 0.0, out=js)
+    return np.minimum(js, LN2, out=js)
+
+
 def _js_batch(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """JS divergence of each row of a (D, n) reference against the matching
-    row of each of C candidates (C, D, n), as a (C, D) array. A (C, D, n)
-    reference gives each candidate its own reference.
-
-    The terms are computed on the whole layout and masked afterwards; each
-    row then sums over its own support, as the 1-D case does."""
+    row of each of C candidates (C, D, n), as a (C, D) array; a (C, D, n)
+    reference gives each candidate its own. The terms are computed on every
+    cell; each row then sums over its own support, as in 1-D."""
     m = 0.5 * (ref + cand)
     x = np.empty((2, *cand.shape))
     x[0], x[1] = ref, cand
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = x * np.log(x / m)
-    n = cand.shape[-1]
-    sp, sq = _row_sums(terms.reshape(-1, n), (x > 0.0).reshape(-1, n)).reshape(x.shape[:-1])
-    js = 0.5 * sp
-    js += 0.5 * sq
-    # clamp the last-ulp float residue; mathematically 0 <= JS <= ln 2
-    np.maximum(js, 0.0, out=js)
-    return np.minimum(js, LN2, out=js)
+    layout = _layout((x > 0.0).reshape(-1, cand.shape[-1]))
+    return _js(*_layout_sum(terms.reshape(-1)[layout[1]], layout).reshape(x.shape[:-1]))
 
 
 def _mean_sqrt(js: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copsem.bounds import ConcentrationParams, DecoderModel, EncoderModel
-from copsem import harness
+from copsem import harness, image_io
 from copsem.image_io import _BLOCK, _row_blocks
 from copsem.harness import (
     DEFAULT_ALPHAS,
     ExperimentConfig,
     _cell,
+    _concentration_l1,
+    _mix_cells,
+    _mix_scorer,
     _solve_weights,
     fixture_family,
     fixture_image,
@@ -30,9 +35,13 @@ from copsem.harness import (
 )
 from copsem.codec import dequantize, quantize
 from copsem.image_io import write_pgm
-from copsem.metrics import d_pc
+from copsem.metrics import _d_pc_batch, d_pc
 from copsem.rank_copula import extract_family, non_overlapping_stride
 from copsem.transforms import gaussian_blur_array
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
 def read_lines(path):
@@ -265,6 +274,29 @@ def test_concentration_nominal_vs_control(tmp_path):
     assert read_lines(table.path)[0] == b"#schema=copsem.concentration.v1"
 
 
+def _one_draw_l1(params, n, seed, arm, t):
+    """The concentration trial as one (n_deltas, n, 2) draw of the stream."""
+    b = params.bins
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 71, arm, t)))
+    u = rng.random((params.n_deltas, n, 2))
+    ij = (u[:, :, 0] * b).astype(np.int64) * b + (u[:, :, 1] * b).astype(np.int64)
+    l1 = 0.0
+    for k in range(params.n_deltas):
+        l1 += float(np.abs(np.bincount(ij[k], minlength=b * b) / n - 1.0 / (b * b)).sum())
+    return l1 / params.n_deltas
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 50, 2956])
+def test_concentration_draws_in_chunks_as_in_one_draw(monkeypatch, n):
+    # 14-element blocks draw 7 pairs at a time: the same doubles in the same
+    # order as one draw, so the same counts and the same L1 to the last bit
+    monkeypatch.setattr(image_io, "_BLOCK", 14)
+    assert len(list(_row_blocks(n, 2))) == -(-n // 7)
+    for params in (ConcentrationParams(4, 2, 0.1, 0.05), ConcentrationParams(3, 3, 0.1, 0.05)):
+        for arm, t in ((0, 0), (1, 5)):
+            assert _concentration_l1(params, n, 17, arm, t) == _one_draw_l1(params, n, 17, arm, t)
+
+
 def test_channel_sweep_gates(tmp_path):
     cfg = ExperimentConfig()
     result = run_channel_sweep(replace(cfg, out_dir=str(tmp_path)))
@@ -308,23 +340,27 @@ def test_channel_top_pinned_constant_underestimates_small_r():
 
 
 def test_sla_pipeline_composition(tmp_path, monkeypatch):
-    # counts the kernel calls: 100 lockstep problems take one call per step
-    # of the longest bisection (53-67 steps), not one per step of each
+    # counts the kernel calls: 100 lockstep problems take one step-scorer call
+    # per step of the longest bisection (53-67 steps), not one per step of
+    # each, and the solve never falls back to the general kernel
     calls = {"solve": 0, "all": 0}
-    kernel, solve = harness._d_pc_batch, harness._solve_weights
+    kernel, scorer = harness._d_pc_batch, harness._mix_scorer
 
     def counting_kernel(ref, cand):
         calls["all"] += 1
         return kernel(ref, cand)
 
-    def counting_solve(cells, targets):
-        before = calls["all"]
-        out = solve(cells, targets)
-        calls["solve"] += calls["all"] - before
-        return out
+    def counting_scorer(ref):
+        score = scorer(ref)
+
+        def counted(w):
+            calls["solve"] += 1
+            return score(w)
+
+        return counted
 
     monkeypatch.setattr(harness, "_d_pc_batch", counting_kernel)
-    monkeypatch.setattr(harness, "_solve_weights", counting_solve)
+    monkeypatch.setattr(harness, "_mix_scorer", counting_scorer)
     cfg = ExperimentConfig()
     result = run_sla_pipeline(replace(cfg, out_dir=str(tmp_path)))
     assert check_names(result) == {"composition", "decode_non_increasing"}
@@ -332,7 +368,7 @@ def test_sla_pipeline_composition(tmp_path, monkeypatch):
     assert all(row[-1] == "true" for row in table.rows)
     assert read_lines(table.path)[0] == b"#schema=copsem.sla_pipeline.v1"
     assert calls["solve"] <= 80
-    assert calls["all"] - calls["solve"] == 2 * 20  # d_dec and d_total, once per image
+    assert calls["all"] == 2 * 20  # d_dec and d_total, once per image
     with pytest.raises(ValueError, match="empty compute grid"):
         run_sla_pipeline(cfg, t_grid=())
 
@@ -443,6 +479,82 @@ def test_decoder_weight_matches_the_stepwise_bisection_at_256_cells(monkeypatch)
     targets = [dec.error(t) for t in (0.0, 20.0, 300.0)] + [0.0]
     assert _BLOCK // (4 * 256) == 64
     assert _lockstep_matches_stepwise(monkeypatch, encs, targets) == [64, 8]
+
+
+TINY_W = 2.7755575615628914e-16  # the bisection's weight on tex02 at T = 300
+
+
+@pytest.mark.parametrize("bins", [8, 16])
+def test_mix_scorer_matches_the_general_kernel(bins):
+    # the step scorer's buffers and hoisted layout give the bits of scoring
+    # each mix afresh, at random weights, at 1 and at the tiny tex02 weight
+    encs = _encoded_corpus(ExperimentConfig(bins=bins))
+    refs = np.stack([e.cells.reshape(len(e.deltas), -1) for e in encs])
+    assert len(refs) == 20 and (refs == 0.0).any()
+    b2 = refs.shape[-1]
+    score = _mix_scorer(refs)
+    rng = np.random.default_rng(bins)
+    for w in [rng.random(20), rng.random(20) ** 40, np.ones(20), np.full(20, TINY_W)]:
+        want = _d_pc_batch(refs, _mix_cells(refs, w[:, None, None], b2))
+        assert _bits(score(w)) == _bits(want)
+    if bins == 8:  # tex02 at the tiny weight: the cancellation reads 0.0 on both paths
+        assert score(np.full(20, TINY_W))[2] == 0.0
+
+
+def test_mix_scorer_takes_the_general_kernel_where_a_mix_loses_support(monkeypatch):
+    # w / B^2 == 0 leaves the reference's zero cells out of the mix's support,
+    # so the full-width candidate group would not hold: such a step is scored
+    # by the general kernel
+    calls = []
+    kernel = harness._d_pc_batch
+    monkeypatch.setattr(harness, "_d_pc_batch", lambda *a: calls.append(1) or kernel(*a))
+    encs = _encoded_corpus(ExperimentConfig())[:3]
+    refs = np.stack([e.cells.reshape(len(e.deltas), -1) for e in encs])
+    assert (refs == 0.0).any()
+    score = _mix_scorer(refs)
+    score(np.full(3, 0.5))
+    assert calls == []
+    for w in ([0.5, 5e-324, 0.25], [0.0, 0.0, 0.0]):
+        w = np.array(w)
+        assert (w / 64 == 0.0).any()
+        assert _bits(score(w)) == _bits(kernel(refs, _mix_cells(refs, w[:, None, None], 64)))
+    assert len(calls) == 2
+
+
+def test_default_solve_takes_few_page_faults():
+    # the solve allocates its step buffers once per block, so the second of two
+    # default 100-problem solves in a fresh process faults in few new pages;
+    # with fresh step temporaries it took about 23,000
+    pytest.importorskip("resource")
+    code = """
+import resource
+import numpy as np
+from copsem.codec import dequantize, quantize
+from copsem.harness import DEFAULT_DECODER, DEFAULT_T_GRID, ExperimentConfig, load_corpus
+from copsem.harness import _solve_weights
+from copsem.rank_copula import extract_family, non_overlapping_stride
+cfg = ExperimentConfig()
+sub = non_overlapping_stride(cfg.deltas)
+encs = [extract_family(img, cfg.deltas, cfg.bins, stride=sub) for _, img in load_corpus(cfg)]
+encs = [dequantize(quantize(e, 1 / 64)) for e in encs]
+cells = np.repeat([e.cells.reshape(len(cfg.deltas), -1) for e in encs], len(DEFAULT_T_GRID), axis=0)
+targets = [DEFAULT_DECODER.error(t) for t in DEFAULT_T_GRID] * len(encs)
+_solve_weights(cells, targets)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_solve_weights(cells, targets)
+print(len(cells), before, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    problems, before, faults = map(int, proc.stdout.split())
+    if before == 0:
+        pytest.skip("ru_minflt is not reported on this platform")
+    assert problems == 100
+    assert faults < 2000
 
 
 def test_decoder_weight_rejects_a_nan_target():

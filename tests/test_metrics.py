@@ -9,7 +9,8 @@ from copsem.image_io import GrayImage, synth_noise
 from copsem.metrics import (
     LN2,
     _d_pc_batch,
-    _row_sums,
+    _layout,
+    _layout_sum,
     SQRT_LN2,
     SSIM_C1,
     SSIM_C2,
@@ -176,6 +177,12 @@ def _support_sum_js(p, q):
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _row_sums(a, keep):
+    """The kernel's row sums: a layout built from keep, applied to a's terms."""
+    layout = _layout(keep)
+    return _layout_sum(a.reshape(-1)[layout[1]], layout)
 
 
 def _poison_dropped(a, keep):
