@@ -34,7 +34,7 @@ from .bounds import (
     sla_surface,
     t_min,
 )
-from .channel import _ber_experiments, _check_runs, trial_seed
+from .channel import _ber_experiments, _check_runs, _seeded, _trial_seeds, trial_seed
 from .codec import RdPoint, _alpha_sweep, dequantize, levels_for_alpha, quantize, rd_sweep
 from .image_io import U8, GrayImage, _in_range, _load_pgm, _row_blocks, _sweep
 from .metrics import (
@@ -475,16 +475,16 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
 # estimation concentration
 
 
-def _concentration_l1(params: ConcentrationParams, n: int, seed: int, arm: int, t: int) -> float:
-    """One trial: sample n independence-copula pairs per displacement; the
-    mean L1 error of their empirical copulas. The pairs are drawn and counted
-    in _row_blocks chunks of one stream: bounded memory, the same counts."""
+def _concentration_l1(params: ConcentrationParams, n: int, rng: np.random.Generator) -> float:
+    """One trial: sample n independence-copula pairs per displacement from
+    rng; the mean L1 error of their empirical copulas. The pairs are drawn and
+    counted in _row_blocks chunks of one stream, at least B^2 pairs each so a
+    chunk outweighs its B^2-cell count: bounded memory, the same counts."""
     b = params.bins
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 71, arm, t)))
     l1 = 0.0
     for _ in range(params.n_deltas):
         counts = np.zeros(b * b, dtype=np.int64)
-        for s in _row_blocks(n, 2):
+        for s in _row_blocks(n, 2, b * b):
             u = (rng.random((len(range(n)[s]), 2)) * b).astype(np.int64)
             counts += np.bincount(u[:, 0] * b + u[:, 1], minlength=b * b)
         l1 += float(np.abs(counts / n - 1.0 / (b * b)).sum())
@@ -508,9 +508,14 @@ def run_concentration(
     rows = []
     fractions = []
     ns = (n_eff, control_n)
-    # one item per trial index, with both arms: the nominal arm costs about twice the control
+    # trial i of arm a draws default_rng(SeedSequence((seed, 71, a, i))), hashed here
+    # for the children to share; one item per trial index, with both arms: the
+    # nominal arm costs about twice the control
+    seeds, g = [_trial_seeds((cfg.seed, 71, a), trials) for a in (0, 1)], np.random.default_rng(0)
     l1s = _fork_map(
-        lambda i: [_concentration_l1(params, n, cfg.seed, arm, i) for arm, n in enumerate(ns)],
+        lambda i: [
+            _concentration_l1(params, n, _seeded(g, seeds[a][i].tolist())) for a, n in enumerate(ns)
+        ],
         range(trials),
     )
     for arm, (label, n) in enumerate(zip(("nominal", "control"), ns)):

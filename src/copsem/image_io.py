@@ -46,13 +46,13 @@ def _sweep(name: str, values) -> tuple[float, ...]:
     return values
 
 
-def _row_blocks(rows: int, cols: int):
+def _row_blocks(rows: int, cols: int, least: int = 1):
     """The one working-set rule: slices covering range(rows) in order,
-    max(1, _BLOCK // cols) whole rows each (the last may hold fewer): about
-    _BLOCK elements of a (rows, cols) array, or one row when a row is longer.
+    max(least, _BLOCK // cols) whole rows each (the last may hold fewer):
+    about _BLOCK elements of a (rows, cols) array, but never under least rows.
     A block at a time keeps temporaries in cache (the pixel and count kernels,
     flip planes, the decoder-weight solve) or bounded (concentration draws)."""
-    step = max(1, _BLOCK // cols)
+    step = max(least, _BLOCK // cols)
     return (slice(r, r + step) for r in range(0, rows, step))
 
 

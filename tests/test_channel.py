@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from copsem import image_io
 from copsem.channel import (
+    _seed_hash,
+    _seeded,
+    _trial_seeds,
+    _words,
     ber_experiment,
     transmit,
     trial_seed,
@@ -48,6 +53,55 @@ def test_trial_seeds_distinct():
     assert len(seeds) == 1000
     assert trial_seed(42, 7) == trial_seed(42, 7)
     assert trial_seed(42, 7) != trial_seed(43, 7)
+
+
+# entropy ints of every word count: 0 (one word), a 64-bit value whose high
+# word is 0 (one word), 64 bits (two) and up to 130 bits (five)
+_ENTROPY_INT = st.one_of(
+    st.just(0), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**130 - 1)
+)
+_ENTROPY = st.lists(_ENTROPY_INT, min_size=1, max_size=7).map(tuple)
+
+
+@given(_ENTROPY, st.integers(1, 9))
+@example((0,), 4)
+@example((2**32 - 1, 71, 0, 5), 4)  # a 64-bit seed whose high word is 0, as trial_seed gives
+@example((2**64 - 1, 71, 1, 3), 4)  # five words: the mixing rounds past the pool
+@example((2**130 - 1, 0, 2**64 - 1, 2**32, 9, 0, 1), 1)  # 17 words
+def test_seed_hash_is_numpys_seed_sequence(entropy, k):
+    ss = np.random.SeedSequence(entropy)
+    words = _words(*entropy)[None]
+    assert np.array_equal(_seed_hash(words, k)[0], ss.generate_state(k, np.uint32))
+    w = _seed_hash(words, 2 * k)[0].astype(np.uint64)
+    assert np.array_equal(w[0::2] | w[1::2] << np.uint64(32), ss.generate_state(k, np.uint64))
+    ours = _seeded(np.random.default_rng(1), _seed_hash(words, 8)[0].tolist())
+    theirs = np.random.default_rng(ss)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert np.array_equal(ours.random(7), theirs.random(7))
+    assert np.array_equal(ours.integers(0, 2**63, 3), theirs.integers(0, 2**63, 3))
+
+
+def test_words_refuse_what_seed_sequence_refuses():
+    for bad in (-1, 1.5):
+        with pytest.raises((TypeError, ValueError)):
+            np.random.SeedSequence(bad)
+        with pytest.raises((TypeError, ValueError)):
+            _words(bad)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 + 7, 2**64 - 1])
+def test_trial_seeds_are_the_streams_of_each_trial(monkeypatch, seed):
+    # 64-element blocks hash 4 trials at a time
+    monkeypatch.setattr(image_io, "_BLOCK", 64)
+    trials = 23
+    one_hop, two_hops = _trial_seeds((seed, 71, 1), trials), _trial_seeds((seed,), trials, hops=2)
+    for t in range(trials):
+        ss = np.random.SeedSequence((seed, 71, 1, t))
+        assert np.array_equal(one_hop[t], ss.generate_state(8))
+        ss = np.random.SeedSequence(trial_seed(seed, t))
+        assert np.array_equal(two_hops[t], ss.generate_state(8))
+        ss = np.random.SeedSequence((seed, t))
+        assert trial_seed(seed, t) == int(ss.generate_state(1, np.uint64)[0])
 
 
 def test_experiment_zero_ber(rng):

@@ -288,13 +288,49 @@ def _one_draw_l1(params, n, seed, arm, t):
 
 @pytest.mark.parametrize("n", [1, 6, 7, 8, 50, 2956])
 def test_concentration_draws_in_chunks_as_in_one_draw(monkeypatch, n):
-    # 14-element blocks draw 7 pairs at a time: the same doubles in the same
-    # order as one draw, so the same counts and the same L1 to the last bit
+    # 14-element blocks draw 7 pairs at a time at B = 2, and B^2 = 9 or 16
+    # pairs at B = 3 or 4: the same doubles in the same order as one draw, so
+    # the same counts and the same L1 to the last bit
     monkeypatch.setattr(image_io, "_BLOCK", 14)
     assert len(list(_row_blocks(n, 2))) == -(-n // 7)
-    for params in (ConcentrationParams(4, 2, 0.1, 0.05), ConcentrationParams(3, 3, 0.1, 0.05)):
+    for b, n_deltas, chunk in ((2, 2, 7), (4, 2, 16), (3, 3, 9)):
+        params = ConcentrationParams(b, n_deltas, 0.1, 0.05)
+        assert len(list(_row_blocks(n, 2, b * b))) == -(-n // chunk)
         for arm, t in ((0, 0), (1, 5)):
-            assert _concentration_l1(params, n, 17, arm, t) == _one_draw_l1(params, n, 17, arm, t)
+            rng = np.random.default_rng(np.random.SeedSequence((17, 71, arm, t)))
+            assert _concentration_l1(params, n, rng) == _one_draw_l1(params, n, 17, arm, t)
+
+
+def test_runs_hash_their_trial_streams_in_bulk(monkeypatch):
+    # numpy builds a SeedSequence for each np.random.SeedSequence call and for
+    # each default_rng of a plain seed: a run builds a fixed handful of them,
+    # whatever its trial count, not one or two per trial
+    made = []
+    seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
+
+    def counting_seed_sequence(*args, **kwargs):
+        made.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    def counting_default_rng(seed=None):
+        if not isinstance(seed, (seed_sequence, np.random.BitGenerator)):
+            made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    _pin_cpus(monkeypatch, 1)  # inline, so every trial's seeding happens here
+
+    def made_by(run) -> int:
+        made.clear()
+        run()
+        return len(made)
+
+    cfg = ExperimentConfig()
+    channel = made_by(lambda: run_channel_sweep(cfg))
+    assert channel == made_by(lambda: run_channel_sweep(replace(cfg, trials=3))) <= 3
+    concentration = made_by(lambda: run_concentration(cfg))
+    assert concentration == made_by(lambda: run_concentration(cfg, trials=3)) <= 3
 
 
 def test_channel_sweep_gates(tmp_path):
