@@ -16,8 +16,8 @@ import numpy as np
 
 from .bounds import enc_distortion_bound, rate_achievability
 from .image_io import _in_range, _same_values, _sweep
-from .metrics import d_pc
-from .rank_copula import CopulaFamily, Displacement, _displacements
+from .metrics import _d_pc_batch, _layout, _layout_sum
+from .rank_copula import CopulaFamily, Displacement, _check_masses, _displacements
 
 
 def levels_for_alpha(alpha: float) -> int:
@@ -157,13 +157,23 @@ class RdPoint:
 
 
 def rd_point(family: CopulaFamily, alpha: float) -> RdPoint:
-    q = quantize(family, alpha)
-    decoded = dequantize(q)
-    b2 = family.bins * family.bins
-    rate_theory = rate_achievability(len(family.deltas), family.bins, alpha)
-    rate_emp = sum(b2 * entropy_bits(g) for g in q.indices)
-    dist = d_pc(family, decoded).d_pc
-    return RdPoint(alpha, rate_theory, rate_emp, dist, enc_distortion_bound(family.bins, alpha))
+    """The one-alpha case of rd_sweep."""
+    return rd_sweep(family, [alpha])[0]
+
+
+def _entropies(rows: np.ndarray) -> np.ndarray:
+    """entropy_bits of each row of a 2-D integer array, to the last bit: a
+    row-wise sort puts each value's count at the start of its run, and a
+    row's terms are summed in value order, as np.unique's counts are."""
+    start = np.ones(rows.shape, dtype=bool)
+    ranked = np.sort(rows, axis=1)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=start[:, 1:])
+    at = np.flatnonzero(start)
+    p = np.diff(at, append=rows.size) / rows.shape[1]
+    terms = np.zeros(rows.size)
+    terms[at] = p * np.log2(p)
+    layout = _layout(start)
+    return -_layout_sum(terms[layout[1]], layout)
 
 
 def _alpha_sweep(alphas: Sequence[float]) -> tuple[float, ...]:
@@ -175,5 +185,20 @@ def _alpha_sweep(alphas: Sequence[float]) -> tuple[float, ...]:
 
 
 def rd_sweep(family: CopulaFamily, alphas: Sequence[float]) -> list[RdPoint]:
-    """One point per alpha, sorted by alpha descending (rate ascending)."""
-    return [rd_point(family, a) for a in _alpha_sweep(alphas)]
+    """One point per alpha, sorted by alpha descending (rate ascending). The
+    sweep is quantized as one (alphas, D, B * B) index array, as quantize
+    does each alpha, then decoded, checked and scored at once."""
+    alphas = _alpha_sweep(alphas)
+    n, bins = len(family.deltas), family.bins
+    cells = family.cells.reshape(n, bins * bins)
+    step = np.array(alphas)[:, None, None]
+    top = np.array([levels_for_alpha(a) - 1 for a in alphas])[:, None, None]
+    indices = np.clip(np.floor(cells / step + 0.5).astype(np.int64), 0, top)
+    decoded = _dequantize_rows(indices, step, bins)
+    _check_masses(decoded.reshape(-1, bins * bins), "cell masses")
+    dists = _d_pc_batch(cells, decoded).tolist()
+    rates = (bins * bins * _entropies(indices.reshape(-1, bins * bins))).reshape(-1, n).tolist()
+    return [
+        RdPoint(a, rate_achievability(n, bins, a), sum(r), d, enc_distortion_bound(bins, a))
+        for a, r, d in zip(alphas, rates, dists)
+    ]

@@ -38,7 +38,7 @@ from .channel import _ber_experiments, _check_runs, _seeded, _trial_seeds, trial
 from .codec import RdPoint, _alpha_sweep, dequantize, levels_for_alpha, quantize, rd_sweep
 from .image_io import U8, GrayImage, _in_range, _load_pgm, _row_blocks, _sweep
 from .metrics import (
-    _d_pc_batch, _js, _layout, _layout_sum, _mean_sqrt, d_pc, format_float, psnr, ssim
+    _d_pc_batch, _js, _layout, _layout_sum, _mean_sqrt, _ssim_batch, format_float, psnr
 )
 from .rank_copula import (
     DEFAULT_BINS,
@@ -47,6 +47,7 @@ from .rank_copula import (
     Displacement,
     _check_masses,
     _displacements,
+    _extract_families,
     extract_family,
     non_overlapping_stride,
 )
@@ -379,12 +380,16 @@ def run_axiom_table(cfg: ExperimentConfig) -> ExperimentResult:
     mono_worst, overlaps = [], []
 
     def score(img: GrayImage) -> list[tuple]:
-        fam0 = extract_family(img, cfg.deltas, cfg.bins, cfg.stride)
+        # the image and its bank outputs as one stack: one count, one d_pc and one ssim call
+        outs = [apply_transform(img, spec) for spec in bank]
+        fam0, *fams = _extract_families([img, *outs], cfg.deltas, cfg.bins, cfg.stride)
+        n = len(cfg.deltas)
+        cells = np.stack([f.cells.reshape(n, -1) for f in fams])
+        dists = _d_pc_batch(fam0.cells.reshape(n, -1), cells).tolist()
+        ssims = iter(_ssim_batch(img, [out for out in outs if out.domain == U8]).tolist())
         entries = []
-        for spec in bank:
-            out = apply_transform(img, spec)
-            dist = d_pc(fam0, extract_family(out, cfg.deltas, cfg.bins, cfg.stride)).d_pc
-            p, s = (psnr(img, out), ssim(img, out)) if out.domain == U8 else (None, None)
+        for spec, out, dist in zip(bank, outs, dists):
+            p, s = (psnr(img, out), next(ssims)) if out.domain == U8 else (None, None)
             entries.append((spec, out.domain, monotone_check(spec), dist, p, s))
         return entries
 
@@ -697,28 +702,30 @@ def run_sla_pipeline(
     budget (check decode_non_increasing, observed as the largest rise).
 
     T runs ascending, and an empty grid or a repeated T raises ValueError.
-    A first pass extracts and encodes every image; one lockstep solve then
-    finds the decoder weight of every (image, T); a second pass scores each
-    image's decodes for all T at once."""
+    A first pass extracts and encodes every image, and two paired _d_pc_batch
+    calls score every image's estimate and encode stages; one lockstep solve
+    then finds the decoder weight of every (image, T); a second pass scores
+    each image's decodes for all T at once."""
     alpha, t_grid = float(alpha), _sweep("compute grid", t_grid)
     targets = [dec.error(t) for t in t_grid]
     levels_for_alpha(alpha)  # T and alpha are checked before the corpus is loaded
     sub = non_overlapping_stride(cfg.deltas)
     n, b2 = len(cfg.deltas), cfg.bins * cfg.bins
-    stages = []
+    names, stages = [], []
     for name, img in load_corpus(cfg):
         truth = extract_family(img, cfg.deltas, cfg.bins, stride=1)
         est = extract_family(img, cfg.deltas, cfg.bins, stride=sub)
-        enc_fam = dequantize(quantize(est, alpha))
-        d_est, d_enc = d_pc(truth, est).d_pc, d_pc(est, enc_fam).d_pc
-        truth_cells, enc_cells = truth.cells.reshape(n, b2), enc_fam.cells.reshape(n, b2)
-        stages.append((name, truth_cells, enc_cells, d_est, d_enc))
-    problems = np.repeat([enc_cells for _, _, enc_cells, _, _ in stages], len(t_grid), axis=0)
-    weights = _solve_weights(problems, targets * len(stages)).reshape(len(stages), len(t_grid))
+        enc = dequantize(quantize(est, alpha))
+        names.append(name)
+        stages.append([f.cells.reshape(n, b2) for f in (truth, est, enc)])
+    truths, ests, encs = np.array(stages).swapaxes(0, 1)  # each (images, D, B * B)
+    d_ests, d_encs = _d_pc_batch(truths, ests).tolist(), _d_pc_batch(ests, encs).tolist()
+    problems = np.repeat(encs, len(t_grid), axis=0)
+    weights = _solve_weights(problems, targets * len(names)).reshape(len(names), len(t_grid))
     header = "image stride alpha T w d_est d_enc d_dec d_total bound holds".split()
     rows = []
     excess, rises = [], []
-    for (name, truth, enc, d_est, d_enc), ws in zip(stages, weights):
+    for name, truth, enc, d_est, d_enc, ws in zip(names, truths, encs, d_ests, d_encs, weights):
         mixed = _mix_cells(enc, ws[:, None, None], b2)
         _check_masses(mixed.reshape(-1, b2), "cell masses")
         d_decs, d_totals = _d_pc_batch(enc, mixed).tolist(), _d_pc_batch(truth, mixed).tolist()

@@ -191,35 +191,53 @@ def ssim(a: GrayImage, b: GrayImage) -> float:
 
     Window statistics use population moments. Images smaller than the
     window in either direction are treated as a single window; otherwise
-    border strips narrower than a window are dropped.
+    border strips narrower than a window are dropped. The one-candidate
+    case of _ssim_batch.
     """
-    _check_u8_pair(a, b)
+    return float(_ssim_batch(a, [b])[0])
+
+
+def _ssim_batch(a: GrayImage, bs) -> np.ndarray:
+    """ssim(a, b) of each of C candidates bs, as a (C,) array: the
+    reference's window sums are taken once per strip, the candidates' as
+    one stack."""
+    for b in bs:
+        _check_u8_pair(a, b)
     k, n = SSIM_WINDOW, SSIM_WINDOW**2
     h, w = a.pixels.shape
     if h < k or w < k:  # one window, not of n pixels: the float moments
-        x, y = a.pixels.astype(np.float64), b.pixels.astype(np.float64)
-        mx, my = x.mean(), y.mean()
-        vxy, cov = x.var() + y.var(), ((x - mx) * (y - my)).mean()
+        x = a.pixels.astype(np.float64)
+        mx, vx = x.mean(), x.var()
+        moments = []
+        for y in (b.pixels.astype(np.float64) for b in bs):
+            moments.append((y.mean(), vx + y.var(), ((x - mx) * (y - y.mean())).mean()))
+        my, vxy, cov = np.array(moments).reshape(-1, 3).T[..., None]  # each (C, 1)
     else:  # integer window sums, n * sum(x^2 + y^2) < 2^31; the moments and vx + vy
         # are the same exact multiples of 2^-12 as the float ones, in row-major window
         # order; strips of whole window rows, 255^2 < 2^16 so the products fit uint16
         bh, bw = h // k, w // k
 
         def box(*zs):  # rows first, in int32 (added over zs), then columns: about 5x as fast as sum(axis=(1, 3))
-            rows = sum(z.reshape(-1, k, bw * k).sum(1, dtype=np.int32) for z in zs)
-            return np.add.reduceat(rows, np.arange(0, bw * k, k), axis=1, dtype=np.int64).ravel()
+            windows = (z.reshape(*z.shape[:-2], z.shape[-2] // k, k, bw * k) for z in zs)
+            rows = sum(z.sum(-2, dtype=np.int32) for z in windows)
+            sums = np.add.reduceat(rows, np.arange(0, bw * k, k), axis=-1, dtype=np.int64)
+            return sums.reshape(*rows.shape[:-2], rows.shape[-2] * bw)
 
         strips = []
         for s in _row_blocks(bh, k * w):
-            x, y = (im.pixels[s.start * k : min(s.stop, bh) * k, : bw * k].astype(np.uint16) for im in (a, b))
+            window_rows, cols = slice(s.start * k, min(s.stop, bh) * k), slice(0, bw * k)
+            x = a.pixels[window_rows, cols].astype(np.uint16)
+            y = np.empty((len(bs), *x.shape), np.uint16)
+            for c, b in enumerate(bs):
+                y[c] = b.pixels[window_rows, cols]
             strips.append([box(x), box(y), box(x * x, y * y), box(x * y)])
-        sx, sy, sq, sxy = (np.concatenate(v) for v in zip(*strips))
+        sx, sy, sq, sxy = (np.concatenate(v, axis=-1) for v in zip(*strips))
         mx, my = sx / n, sy / n
         vxy = (n * sq - sx * sx - sy * sy) / n**2
         cov = (n * sxy - sx * sy) / n**2
     num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (mx * mx + my * my + SSIM_C1) * (vxy + SSIM_C2)
-    return float(np.mean(num / den))
+    return np.mean(num / den, axis=-1)
 
 
 def format_float(x: float) -> str:

@@ -235,19 +235,22 @@ def _anchor_range(extent: int, offset: int, stride: int) -> range:
     return range(-(-lo // stride) * stride, extent - max(0, offset), stride)
 
 
-def _count_family(inverse, table, deltas, bins: int, stride: int) -> list[EmpiricalCopula]:
-    """One copula per displacement from the (height, width) bin map
-    table[inverse], written inside a border of the sentinel code bins
-    ("partner outside the image") as wide as some displacement reaches.
+def _count_family(images, deltas, bins: int, stride: int) -> list[list[EmpiricalCopula]]:
+    """One copula per displacement of each of N (height, width) images: each
+    image's bin map, each distinct pixel value binned once, is written inside
+    its own border of the sentinel code bins ("partner outside the image") as
+    wide as some displacement reaches.
 
-    Each anchor gets one joint code: its own bin, then each partner's code
-    in base bins + 1, for a group of g displacements, g the largest with
-    bins * (bins + 1)^g <= max(bins * (bins + 1), min(_BLOCK, anchors // 8)).
-    One np.bincount per row block counts a group; each displacement's counts
-    are the histogram summed over the other partners, without the sentinel.
+    Each anchor gets one joint code by Horner's rule: its image's index, its
+    own bin, then each partner's code in base bins + 1, for a group of g
+    displacements, g the largest with bins * (bins + 1)^g <= max(bins *
+    (bins + 1), min(_BLOCK, anchors // 8)) over one image's anchors. One
+    np.bincount per block of whole images, or of one image's rows
+    (_row_blocks), counts a group; each displacement's counts are the
+    histogram summed over the other partners, without the sentinel.
     """
     stride = _in_range("stride", stride, 1, math.inf, "[)", integer=True)
-    height, width = inverse.shape
+    height, width = images[0].pixels.shape
     n_pairs = []
     for d in deltas:
         if d == (0, 0):
@@ -261,29 +264,54 @@ def _count_family(inverse, table, deltas, bins: int, stride: int) -> list[Empiri
             )
     dxs, dys = zip((0, 0), *deltas)
     left, top, right, bottom = -min(dxs), -min(dys), max(dxs), max(dys)
-    padded = np.full((top + height + bottom, left + width + right), bins, np.min_scalar_type(bins))
-    cell = padded[top : top + height, left : left + width]
-    for s in _row_blocks(height, width):
-        np.take(table, inverse[s], out=cell[s])
+    shape = (len(images), top + height + bottom, left + width + right)
+    padded = np.full(shape, bins, np.min_scalar_type(bins))
+    for img, cell in zip(images, padded[:, top : top + height, left : left + width]):
+        inverse, u = _midranks(img)
+        table = _bin_of(u, bins)
+        for s in _row_blocks(height, width):
+            np.take(table, inverse[s], out=cell[s])
     own, *partners = (
-        padded[top + dy : top + dy + height : stride, left + dx : left + dx + width : stride]
+        padded[:, top + dy : top + dy + height : stride, left + dx : left + dx + width : stride]
         for dx, dy in ((0, 0), *deltas)
     )
-    cap = max(bins * (bins + 1), min(_BLOCK, own.size // 8))
+    cap = max(bins * (bins + 1), min(_BLOCK, own[0].size // 8))
     g = max(k for k in range(1, cap.bit_length()) if bins * (bins + 1) ** k <= cap)
     counts = []
     for group in (partners[k : k + g] for k in range(0, len(partners), g)):
-        axes = (bins,) + (bins + 1,) * len(group)
+        axes = (len(images), bins) + (bins + 1,) * len(group)
         hist = np.zeros(math.prod(axes), np.int64)
-        for s in _row_blocks(*own.shape):
-            code = own[s].astype(np.min_scalar_type(hist.size - 1))
-            for partner in group:
-                code *= bins + 1
-                code += partner[s]
-            hist += np.bincount(code.ravel(), minlength=hist.size)
-        others = [tuple(b for b in range(1, len(axes)) if b != a) for a in range(1, len(axes))]
-        counts += [np.add.reduce(hist.reshape(axes), axis)[:, :bins] for axis in others]
-    return [EmpiricalCopula(bins, c / n, n) for c, n in zip(counts, n_pairs)]
+        dtype = np.min_scalar_type(hist.size - 1)
+        image = np.arange(len(images), dtype=dtype)[:, None, None] * bins
+        for i in _row_blocks(len(images), own[0].size):
+            for s in _row_blocks(*own.shape[1:]):
+                code = own[i, s].astype(dtype)
+                if len(images) > 1:  # the image digit, 0 for a single image
+                    code += image[i]
+                for partner in group:
+                    code *= bins + 1
+                    code += partner[i, s]
+                hist += np.bincount(code.ravel(), minlength=hist.size)
+        others = [tuple(b for b in range(2, len(axes)) if b != a) for a in range(2, len(axes))]
+        counts += [np.add.reduce(hist.reshape(axes), axis)[:, :, :bins] for axis in others]
+    return [
+        [EmpiricalCopula(bins, c[m] / n, n) for c, n in zip(counts, n_pairs)]
+        for m in range(len(images))
+    ]
+
+
+def _extract_families(
+    images: Sequence[GrayImage], deltas: Sequence[Displacement], bins: int, stride: int
+) -> list[CopulaFamily]:
+    """extract_family of each of N images of one shape, counted as one stack."""
+    deltas = tuple(Displacement(*d) for d in deltas)
+    bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
+    if len({img.pixels.shape for img in images}) != 1:
+        raise ValueError("a stack of images needs one shape")
+    return [
+        CopulaFamily(deltas, [c.cells for c in copulas], tuple(c.n_pairs for c in copulas), stride)
+        for copulas in _count_family(images, deltas, bins, stride)
+    ]
 
 
 def extract_family(
@@ -300,14 +328,10 @@ def extract_family(
     the pair count. stride = 1 uses every valid pair; stride >= 2 *
     max(|dx|, |dy|) + 1 makes the pairs disjoint (no pixel participates
     twice). Each distinct pixel value is binned once, and all displacements
-    are counted together from the shared bin map.
+    are counted together from the shared bin map. The one-image case of
+    _extract_families.
     """
-    deltas = tuple(Displacement(*d) for d in deltas)
-    bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
-    inverse, u = _midranks(img)
-    copulas = _count_family(inverse, _bin_of(u, bins), deltas, bins, stride)
-    cells = np.asarray([c.cells for c in copulas])
-    return CopulaFamily(deltas, cells, tuple(c.n_pairs for c in copulas), stride)
+    return _extract_families([img], deltas, bins, stride)[0]
 
 
 def coarsen(copula: EmpiricalCopula, factor: int) -> EmpiricalCopula:

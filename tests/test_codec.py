@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from copsem.codec import (
     rd_sweep,
     unpack,
 )
+from copsem.bounds import enc_distortion_bound, rate_achievability
 from copsem.metrics import SQRT_LN2, d_pc
 from copsem.rank_copula import CopulaFamily, Displacement
 
@@ -273,3 +275,52 @@ def test_decoded_family_distortion_matches_metric(rng):
     pt = rd_point(fam, 1 / 32)
     direct = d_pc(fam, dequantize(quantize(fam, 1 / 32))).d_pc
     assert pt.distortion == direct
+
+
+def _rd_point_per_alpha(family, alpha):
+    """The sweep point as computed one alpha at a time: quantize, dequantize,
+    one np.unique entropy per index grid summed by Python's sum, one d_pc."""
+    q = quantize(family, alpha)
+    b2 = family.bins * family.bins
+    rate_emp = 0
+    for grid in q.indices:
+        _, counts = np.unique(grid.ravel(), return_counts=True)
+        p = counts / counts.sum()
+        rate_emp += b2 * float(-(p * np.log2(p)).sum())
+    return (
+        alpha,
+        rate_achievability(len(family.deltas), family.bins, alpha),
+        rate_emp,
+        d_pc(family, dequantize(q)).d_pc,
+        enc_distortion_bound(family.bins, alpha),
+    )
+
+
+# 1.0 quantizes every cell to 0 or 1, 2**-40 keeps more than 2**40 levels
+SWEEP_ALPHAS = (1.0, 0.5, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 256, 2.0**-40)
+
+
+@pytest.mark.parametrize("bins", [2, 8, 16])
+@pytest.mark.parametrize("conc", [0.05, 0.3, 1.0])
+def test_rd_sweep_is_the_per_alpha_points(rng, bins, conc):
+    # every float to the last bit and the sign of a zero: repr tells -0.0 from 0.0.
+    # Ten families each, as about one grid in five sums its entropy terms to other
+    # last bits when the zeros between runs are summed too
+    for _ in range(10):
+        fam = make_family(rng, bins=bins, conc=conc)
+        pts = rd_sweep(fam, SWEEP_ALPHAS)
+        want = [_rd_point_per_alpha(fam, a) for a in sorted(SWEEP_ALPHAS, reverse=True)]
+        assert [list(map(repr, astuple(p))) for p in pts] == [list(map(repr, w)) for w in want]
+        for a, p in zip(sorted(SWEEP_ALPHAS, reverse=True), pts):
+            assert rd_point(fam, a) == p
+
+
+def test_rd_sweep_of_a_grid_that_decodes_to_uniform():
+    # every cell of 1/16 rounds to 0 at alpha = 1 and 0.5: an all-zero grid, the
+    # uniform decode, distortion 0 and an entropy of one run (0.0, not -0.0)
+    fam = CopulaFamily((RIGHT, Displacement(0, 1)), np.full((2, 4, 4), 1 / 16), (0, 0), stride=0)
+    pts = rd_sweep(fam, (1.0, 0.5, 1 / 32))
+    want = [_rd_point_per_alpha(fam, a) for a in (1.0, 0.5, 1 / 32)]
+    assert [list(map(repr, astuple(p))) for p in pts] == [list(map(repr, w)) for w in want]
+    assert [(p.rate_empirical_bits, p.distortion) for p in pts[:2]] == [(0.0, 0.0)] * 2
+    assert math.copysign(1.0, pts[0].rate_empirical_bits) == 1.0

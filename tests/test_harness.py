@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copsem.bounds import ConcentrationParams, DecoderModel, EncoderModel
-from copsem import harness, image_io
+from copsem import harness, image_io, metrics, rank_copula
 from copsem.image_io import _BLOCK, _row_blocks
 from copsem.harness import (
     DEFAULT_ALPHAS,
@@ -239,6 +239,33 @@ def test_axiom_table(tmp_path):
     assert all(r[7] == "pass" for r in table.rows)
 
 
+def test_axiom_table_scores_each_bank_as_one_stack(monkeypatch):
+    # inline, so every call is seen here: per image one stacked count, one d_pc
+    # kernel call over the ten bank outputs and one ssim kernel call over the u8
+    # ones; the one-item public calls are never made
+    _pin_cpus(monkeypatch, 1)
+    calls = {"_extract_families": 0, "_d_pc_batch": 0, "_ssim_batch": 0}
+    for name in calls:
+        kernel = getattr(harness, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-item call in run_axiom_table")
+
+    for module in (harness, metrics, rank_copula):
+        for name in ("d_pc", "ssim", "extract_family"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    result = run_axiom_table(ExperimentConfig())
+    assert result.ok and len(result.tables[0].rows) == 20 * 10
+    assert calls == {"_extract_families": 20, "_d_pc_batch": 20, "_ssim_batch": 20}
+
+
 def test_rd_curve_warns_but_holds(tmp_path):
     cfg = ExperimentConfig()
     result = run_rd_curve(replace(cfg, out_dir=str(tmp_path)))
@@ -404,7 +431,8 @@ def test_sla_pipeline_composition(tmp_path, monkeypatch):
     assert all(row[-1] == "true" for row in table.rows)
     assert read_lines(table.path)[0] == b"#schema=copsem.sla_pipeline.v1"
     assert calls["solve"] <= 80
-    assert calls["all"] == 2 * 20  # d_dec and d_total, once per image
+    # d_est and d_enc of every image in one call each, then d_dec and d_total per image
+    assert calls["all"] == 2 + 2 * 20
     with pytest.raises(ValueError, match="empty compute grid"):
         run_sla_pipeline(cfg, t_grid=())
 

@@ -11,6 +11,7 @@ from copsem.metrics import (
     _d_pc_batch,
     _layout,
     _layout_sum,
+    _ssim_batch,
     SQRT_LN2,
     SSIM_C1,
     SSIM_C2,
@@ -407,6 +408,22 @@ def test_ssim_matches_window_loop(rng, shape):
         assert ssim(a, b) == _ssim_window_loop(a, b), shape
     flat = GrayImage(shape[1], shape[0], np.full(shape, 77))
     assert ssim(flat, flat) == _ssim_window_loop(flat, flat) == 1.0
+
+
+# one strip of 96 x 96, one window of 5 x 300 (the float moments), and six
+# strips of 600 x 600
+@pytest.mark.parametrize("shape", [(96, 96), (5, 300), (600, 600)])
+def test_ssim_batch_is_per_pair_ssim(rng, shape):
+    h, w = shape
+    a = rng.integers(0, 256, shape)
+    partners = [np.clip(a + rng.integers(-20, 21, shape), 0, 255), rng.integers(0, 256, shape)]
+    partners += [np.full(shape, 77), a, 255 - a]
+    ref, cands = GrayImage(w, h, a), [GrayImage(w, h, b) for b in partners]
+    got = _ssim_batch(ref, cands).tolist()
+    assert got == [ssim(ref, b) for b in cands] == [_ssim_window_loop(ref, b) for b in cands]
+    assert _ssim_batch(ref, []).shape == (0,)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _ssim_batch(ref, [cands[0], GrayImage(w + 1, h, np.zeros((h, w + 1)))])
 
 
 @pytest.mark.parametrize("shape", PIXEL_SHAPES)

@@ -16,6 +16,7 @@ from copsem.rank_copula import (
     EmptySampleError,
     EmpiricalCopula,
     RankField,
+    _extract_families,
     coarsen,
     extract_family,
     non_overlapping_stride,
@@ -507,3 +508,58 @@ def test_gradient_family_smoke():
     assert fam.cells.shape[0] == 4
     for cells in fam.cells:
         assert abs(cells.sum() - 1.0) < 1e-12
+
+
+# (shape, bins, deltas): at 40 bins a joint code holds one displacement (g = 1),
+# at 300 the stack's codes need uint32, and a 300 x 300 image takes several row
+# blocks of its own
+STACK_CASES = [
+    ((40, 37), 8, DEFAULT_DELTAS),
+    ((40, 37), 40, [(3, -2), (1, 0), (0, 1)]),
+    ((30, 33), 300, [(3, -2), (1, 1)]),
+    ((300, 300), 8, [(3, -2), (1, 0)]),
+]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize(
+    "shape, bins, deltas", STACK_CASES, ids=[f"{c[0]}-b{c[1]}" for c in STACK_CASES]
+)
+def test_stacked_families_are_per_image_families(monkeypatch, shape, bins, deltas, stride):
+    h, w = shape
+    u8 = synth_noise(w, h, 31)
+    images = [u8, GrayImage(w, h, u8.pixels * 0.37 - 1.5, domain=REAL)]
+    images += [_tied_image(shape, False, 3, 1), _tied_image(shape, True, 5, 2)]
+    deltas = [Displacement(*d) for d in deltas]
+    if bins == 40:
+        assert _group_size(bins, h * w) == 1
+    made = []
+    post_init = EmpiricalCopula.__post_init__
+    monkeypatch.setattr(EmpiricalCopula, "__post_init__", lambda c: made.append(c) or post_init(c))
+    stacked = _extract_families(images, deltas, bins, stride)
+    assert len(made) == len(images) * len(deltas)  # one copula per displacement per image
+    made.clear()
+    singles = [extract_family(img, deltas, bins, stride) for img in images]
+    assert len(made) == len(images) * len(deltas)
+    assert stacked == singles
+    for img, fam in zip(images, stacked):
+        u = rank_transform(img).u
+        for d, cells, n_pairs in zip(deltas, fam.cells, fam.n_pairs):
+            counts, want_pairs = _gather_counts(u, d, bins, stride)
+            assert n_pairs == want_pairs, d
+            assert np.array_equal(cells, counts / n_pairs), d
+
+
+def test_stacked_families_refuse_as_one_image_does():
+    img = _tied_image((3, 4), False, 3, 0)
+    cases = [
+        (1, 1, [(1, 0)], "bins must be in [2, inf), got 1"),
+        (8, 0, [(1, 0)], "stride must be in [1, inf), got 0"),
+        (2, 2, [(1, 0), (0, 9)], "no valid anchors for delta=(0, 9) stride=2 on a 4x3 field"),
+    ]
+    for bins, stride, deltas, message in cases:
+        for images in ([img], [img, img]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _extract_families(images, [Displacement(*d) for d in deltas], bins, stride)
+    with pytest.raises(ValueError, match="one shape"):
+        _extract_families([img, _tied_image((4, 3), False, 3, 0)], DEFAULT_DELTAS, 8, 1)
