@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import enc_distortion_bound, rate_achievability
-from .image_io import _in_range, _same_values, _sweep
+from .image_io import _in_range, _row_blocks, _same_values, _sweep
 from .metrics import _d_pc_batch, _layout, _layout_sum
 from .rank_copula import CopulaFamily, Displacement, _check_masses, _displacements
 
@@ -138,11 +138,25 @@ def unpack(
     return QuantizedFamily(alpha, bins, deltas, values.reshape(len(deltas), bins, bins))
 
 
+def _entropies(rows: np.ndarray) -> np.ndarray:
+    """entropy_bits of each row of a 2-D array: a row-wise sort puts each
+    value's count at the start of its run, and a row's terms are summed in
+    value order, as a 1-D np.sum of np.unique's counts would."""
+    start = np.ones(rows.shape, dtype=bool)
+    ranked = np.sort(rows, axis=1)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=start[:, 1:])
+    at = np.flatnonzero(start)
+    p = np.diff(at, append=rows.size) / rows.shape[1]
+    terms = np.zeros(rows.size)
+    terms[at] = p * np.log2(p)
+    layout = _layout(start)
+    return -_layout_sum(terms[layout[1]], layout)
+
+
 def entropy_bits(values: np.ndarray) -> float:
-    """Shannon entropy in bits of the empirical value histogram."""
-    _, counts = np.unique(np.asarray(values).ravel(), return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+    """Shannon entropy in bits of the empirical histogram of non-NaN values.
+    The one-row case of _entropies."""
+    return float(_entropies(np.asarray(values).reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)
@@ -161,44 +175,31 @@ def rd_point(family: CopulaFamily, alpha: float) -> RdPoint:
     return rd_sweep(family, [alpha])[0]
 
 
-def _entropies(rows: np.ndarray) -> np.ndarray:
-    """entropy_bits of each row of a 2-D integer array, to the last bit: a
-    row-wise sort puts each value's count at the start of its run, and a
-    row's terms are summed in value order, as np.unique's counts are."""
-    start = np.ones(rows.shape, dtype=bool)
-    ranked = np.sort(rows, axis=1)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=start[:, 1:])
-    at = np.flatnonzero(start)
-    p = np.diff(at, append=rows.size) / rows.shape[1]
-    terms = np.zeros(rows.size)
-    terms[at] = p * np.log2(p)
-    layout = _layout(start)
-    return -_layout_sum(terms[layout[1]], layout)
-
-
-def _alpha_sweep(alphas: Sequence[float]) -> tuple[float, ...]:
-    """rd_sweep's steps: a _sweep of quantizer steps, descending (rate ascending)."""
+def _alpha_sweep(alphas: Sequence[float]) -> tuple[tuple[float, ...], list[int]]:
+    """rd_sweep's steps, a _sweep of quantizer steps descending (rate
+    ascending), and the level count of each."""
     alphas = _sweep("alpha", alphas)[::-1]
-    for a in alphas:
-        levels_for_alpha(a)
-    return alphas
+    return alphas, [levels_for_alpha(a) for a in alphas]
 
 
 def rd_sweep(family: CopulaFamily, alphas: Sequence[float]) -> list[RdPoint]:
     """One point per alpha, sorted by alpha descending (rate ascending). The
-    sweep is quantized as one (alphas, D, B * B) index array, as quantize
-    does each alpha, then decoded, checked and scored at once."""
-    alphas = _alpha_sweep(alphas)
+    sweep is quantized as (alphas, D, B * B) index arrays of about _BLOCK
+    cells (_row_blocks), as quantize does each alpha, then each is decoded,
+    checked and scored at once."""
+    alphas, levels = _alpha_sweep(alphas)
     n, bins = len(family.deltas), family.bins
     cells = family.cells.reshape(n, bins * bins)
-    step = np.array(alphas)[:, None, None]
-    top = np.array([levels_for_alpha(a) - 1 for a in alphas])[:, None, None]
-    indices = np.clip(np.floor(cells / step + 0.5).astype(np.int64), 0, top)
-    decoded = _dequantize_rows(indices, step, bins)
-    _check_masses(decoded.reshape(-1, bins * bins), "cell masses")
-    dists = _d_pc_batch(cells, decoded).tolist()
-    rates = (bins * bins * _entropies(indices.reshape(-1, bins * bins))).reshape(-1, n).tolist()
-    return [
-        RdPoint(a, rate_achievability(n, bins, a), sum(r), d, enc_distortion_bound(bins, a))
-        for a, r, d in zip(alphas, rates, dists)
-    ]
+    points = []
+    for s in _row_blocks(len(alphas), n * bins * bins):
+        step, top = np.array(alphas[s])[:, None, None], np.array(levels[s])[:, None, None] - 1
+        indices = np.clip(np.floor(cells / step + 0.5).astype(np.int64), 0, top)
+        decoded = _dequantize_rows(indices, step, bins)
+        _check_masses(decoded.reshape(-1, bins * bins), "cell masses")
+        dists = _d_pc_batch(cells, decoded).tolist()
+        rates = (bins * bins * _entropies(indices.reshape(-1, bins * bins))).reshape(-1, n)
+        points += [
+            RdPoint(a, rate_achievability(n, bins, a), sum(r), d, enc_distortion_bound(bins, a))
+            for a, r, d in zip(alphas[s], rates.tolist(), dists)
+        ]
+    return points

@@ -380,12 +380,18 @@ def run_axiom_table(cfg: ExperimentConfig) -> ExperimentResult:
     mono_worst, overlaps = [], []
 
     def score(img: GrayImage) -> list[tuple]:
-        # the image and its bank outputs as one stack: one count, one d_pc and one ssim call
-        outs = [apply_transform(img, spec) for spec in bank]
-        fam0, *fams = _extract_families([img, *outs], cfg.deltas, cfg.bins, cfg.stride)
-        n = len(cfg.deltas)
-        cells = np.stack([f.cells.reshape(n, -1) for f in fams])
-        dists = _d_pc_batch(fam0.cells.reshape(n, -1), cells).tolist()
+        # the image and its bank outputs in stacks of about _BLOCK cells (one stack at
+        # the default bins): one count and one d_pc call a stack, then one ssim call
+        n, b2 = len(cfg.deltas), cfg.bins * cfg.bins
+        outs, dists = [apply_transform(img, spec) for spec in bank], []
+        stack = [img, *outs]
+        for blk in _row_blocks(len(stack), n * b2):
+            fams = _extract_families(stack[blk], cfg.deltas, cfg.bins, cfg.stride)
+            cells = np.array([f.cells for f in fams]).reshape(-1, n, b2)
+            del fams  # the stacked copy is all a block keeps
+            if blk.start == 0:
+                ref, cells = cells[0], cells[1:]
+            dists += _d_pc_batch(ref, cells).tolist()
         ssims = iter(_ssim_batch(img, [out for out in outs if out.domain == U8]).tolist())
         entries = []
         for spec, out, dist in zip(bank, outs, dists):
@@ -440,7 +446,7 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
     fit_header = ["image", "c2_fit", "d_eff", "r_squared"]
     rows, fit_rows, warnings = [], [], []
     over_bound, rate_excess = [], []
-    alphas = _alpha_sweep(cfg.alphas)  # before any extraction
+    alphas = _alpha_sweep(cfg.alphas)[0]  # before any extraction
     sweeps = _map_corpus(
         cfg, lambda img: rd_sweep(extract_family(img, cfg.deltas, cfg.bins, cfg.stride), alphas)
     )

@@ -206,12 +206,11 @@ def _ssim_batch(a: GrayImage, bs) -> np.ndarray:
     k, n = SSIM_WINDOW, SSIM_WINDOW**2
     h, w = a.pixels.shape
     if h < k or w < k:  # one window, not of n pixels: the float moments
-        x = a.pixels.astype(np.float64)
-        mx, vx = x.mean(), x.var()
-        moments = []
-        for y in (b.pixels.astype(np.float64) for b in bs):
-            moments.append((y.mean(), vx + y.var(), ((x - mx) * (y - y.mean())).mean()))
-        my, vxy, cov = np.array(moments).reshape(-1, 3).T[..., None]  # each (C, 1)
+        x = a.pixels.astype(np.float64).ravel()
+        y = np.array([b.pixels for b in bs], np.float64).reshape(len(bs), x.size)
+        mx, my = x.mean(), y.mean(axis=1, keepdims=True)
+        vxy = x.var() + y.var(axis=1, keepdims=True)
+        cov = ((x - mx) * (y - my)).mean(axis=1, keepdims=True)
     else:  # integer window sums, n * sum(x^2 + y^2) < 2^31; the moments and vx + vy
         # are the same exact multiples of 2^-12 as the float ones, in row-major window
         # order; strips of whole window rows, 255^2 < 2^16 so the products fit uint16
@@ -227,9 +226,7 @@ def _ssim_batch(a: GrayImage, bs) -> np.ndarray:
         for s in _row_blocks(bh, k * w):
             window_rows, cols = slice(s.start * k, min(s.stop, bh) * k), slice(0, bw * k)
             x = a.pixels[window_rows, cols].astype(np.uint16)
-            y = np.empty((len(bs), *x.shape), np.uint16)
-            for c, b in enumerate(bs):
-                y[c] = b.pixels[window_rows, cols]
+            y = np.array([b.pixels[window_rows, cols] for b in bs], np.uint16).reshape(-1, *x.shape)
             strips.append([box(x), box(y), box(x * x, y * y), box(x * y)])
         sx, sy, sq, sxy = (np.concatenate(v, axis=-1) for v in zip(*strips))
         mx, my = sx / n, sy / n

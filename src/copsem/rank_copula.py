@@ -235,19 +235,20 @@ def _anchor_range(extent: int, offset: int, stride: int) -> range:
     return range(-(-lo // stride) * stride, extent - max(0, offset), stride)
 
 
-def _count_family(images, deltas, bins: int, stride: int) -> list[list[EmpiricalCopula]]:
-    """One copula per displacement of each of N (height, width) images: each
-    image's bin map, each distinct pixel value binned once, is written inside
-    its own border of the sentinel code bins ("partner outside the image") as
-    wide as some displacement reaches.
+def _count_family(images, deltas, bins: int, stride: int):
+    """Yields the family of each of N (height, width) images in turn, one
+    copula per displacement: each image's bin map, each distinct pixel value
+    binned once, is written inside its own border of the sentinel code bins
+    ("partner outside the image") as wide as some displacement reaches.
 
-    Each anchor gets one joint code by Horner's rule: its image's index, its
-    own bin, then each partner's code in base bins + 1, for a group of g
-    displacements, g the largest with bins * (bins + 1)^g <= max(bins *
-    (bins + 1), min(_BLOCK, anchors // 8)) over one image's anchors. One
-    np.bincount per block of whole images, or of one image's rows
-    (_row_blocks), counts a group; each displacement's counts are the
-    histogram summed over the other partners, without the sentinel.
+    Each anchor gets one joint code by Horner's rule: its index in its block
+    of images, its own bin, then each partner's code in base bins + 1, for a
+    group of g displacements, g the largest with bins * (bins + 1)^g <=
+    max(bins * (bins + 1), min(_BLOCK, anchors // 8)) over one image's
+    anchors. Blocks of whole images hold about _BLOCK anchors and histogram
+    cells (_row_blocks), or one image, whose rows are then blocked too; one
+    np.bincount per block counts a group, and each displacement's counts are
+    the histogram summed over the other partners, without the sentinel.
     """
     stride = _in_range("stride", stride, 1, math.inf, "[)", integer=True)
     height, width = images[0].pixels.shape
@@ -277,41 +278,38 @@ def _count_family(images, deltas, bins: int, stride: int) -> list[list[Empirical
     )
     cap = max(bins * (bins + 1), min(_BLOCK, own[0].size // 8))
     g = max(k for k in range(1, cap.bit_length()) if bins * (bins + 1) ** k <= cap)
-    counts = []
-    for group in (partners[k : k + g] for k in range(0, len(partners), g)):
-        axes = (len(images), bins) + (bins + 1,) * len(group)
-        hist = np.zeros(math.prod(axes), np.int64)
-        dtype = np.min_scalar_type(hist.size - 1)
-        image = np.arange(len(images), dtype=dtype)[:, None, None] * bins
-        for i in _row_blocks(len(images), own[0].size):
+
+    def block(i: slice) -> list[list[EmpiricalCopula]]:  # its counts go when it returns
+        m, counts = len(images[i]), []
+        for group in (partners[k : k + g] for k in range(0, len(partners), g)):
+            axes = (m, bins) + (bins + 1,) * len(group)
+            hist = np.zeros(math.prod(axes), np.int64)
+            digit = np.arange(m, dtype=np.min_scalar_type(hist.size - 1))[:, None, None] * bins
             for s in _row_blocks(*own.shape[1:]):
-                code = own[i, s].astype(dtype)
-                if len(images) > 1:  # the image digit, 0 for a single image
-                    code += image[i]
+                code = digit + own[i, s]  # in digit's dtype, which holds every code
                 for partner in group:
                     code *= bins + 1
                     code += partner[i, s]
                 hist += np.bincount(code.ravel(), minlength=hist.size)
-        others = [tuple(b for b in range(2, len(axes)) if b != a) for a in range(2, len(axes))]
-        counts += [np.add.reduce(hist.reshape(axes), axis)[:, :, :bins] for axis in others]
-    return [
-        [EmpiricalCopula(bins, c[m] / n, n) for c, n in zip(counts, n_pairs)]
-        for m in range(len(images))
-    ]
+            others = [tuple(b for b in range(2, len(axes)) if b != a) for a in range(2, len(axes))]
+            counts += [np.add.reduce(hist.reshape(axes), axis)[:, :, :bins] for axis in others]
+        return [
+            [EmpiricalCopula(bins, c[k] / n, n) for c, n in zip(counts, n_pairs)] for k in range(m)
+        ]
+
+    for i in _row_blocks(len(images), max(own[0].size, bins * (bins + 1) ** g)):
+        yield from (CopulaFamily(deltas, [c.cells for c in cs], n_pairs, stride) for cs in block(i))
 
 
 def _extract_families(
     images: Sequence[GrayImage], deltas: Sequence[Displacement], bins: int, stride: int
 ) -> list[CopulaFamily]:
-    """extract_family of each of N images of one shape, counted as one stack."""
+    """extract_family of each of N images of one shape, counted in stacks."""
     deltas = tuple(Displacement(*d) for d in deltas)
     bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
     if len({img.pixels.shape for img in images}) != 1:
         raise ValueError("a stack of images needs one shape")
-    return [
-        CopulaFamily(deltas, [c.cells for c in copulas], tuple(c.n_pairs for c in copulas), stride)
-        for copulas in _count_family(images, deltas, bins, stride)
-    ]
+    return list(_count_family(images, deltas, bins, stride))
 
 
 def extract_family(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -17,6 +18,7 @@ from copsem.codec import (
     rd_sweep,
     unpack,
 )
+from copsem import image_io
 from copsem.bounds import enc_distortion_bound, rate_achievability
 from copsem.metrics import SQRT_LN2, d_pc
 from copsem.rank_copula import CopulaFamily, Displacement
@@ -324,3 +326,29 @@ def test_rd_sweep_of_a_grid_that_decodes_to_uniform():
     assert [list(map(repr, astuple(p))) for p in pts] == [list(map(repr, w)) for w in want]
     assert [(p.rate_empirical_bits, p.distortion) for p in pts[:2]] == [(0.0, 0.0)] * 2
     assert math.copysign(1.0, pts[0].rate_empirical_bits) == 1.0
+
+
+def test_rd_sweep_in_alpha_blocks_is_the_per_alpha_points(rng, monkeypatch):
+    # 768 cells a block: three alphas of 4 x 8 x 8 at a time, the last block of two
+    monkeypatch.setattr(image_io, "_BLOCK", 3 * 4 * 64)
+    fam = make_family(rng, bins=8, conc=0.3)
+    want = [_rd_point_per_alpha(fam, a) for a in sorted(SWEEP_ALPHAS, reverse=True)]
+    assert [astuple(p) for p in rd_sweep(fam, SWEEP_ALPHAS)] == want
+
+
+def test_rd_sweep_holds_one_alpha_working_set_at_256_bins(rng):
+    # 4 x 256 x 256 cells are above _BLOCK, so eight alphas are swept one at a
+    # time and peak about as high as one alpha
+    fam = make_family(rng, bins=256, conc=0.3)
+
+    def peak(alphas):
+        rd_sweep(fam, alphas)
+        tracemalloc.start()
+        try:
+            rd_sweep(fam, alphas)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak(SWEEP_ALPHAS[:1]), peak(SWEEP_ALPHAS)
+    assert eight < 1.5 * one, (one, eight)

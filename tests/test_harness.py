@@ -37,7 +37,7 @@ from copsem.codec import dequantize, quantize
 from copsem.image_io import write_pgm
 from copsem.metrics import _d_pc_batch, d_pc
 from copsem.rank_copula import extract_family, non_overlapping_stride
-from copsem.transforms import gaussian_blur_array
+from copsem.transforms import apply_transform, default_bank, gaussian_blur_array
 
 
 def _bits(values):
@@ -264,6 +264,31 @@ def test_axiom_table_scores_each_bank_as_one_stack(monkeypatch):
     result = run_axiom_table(ExperimentConfig())
     assert result.ok and len(result.tables[0].rows) == 20 * 10
     assert calls == {"_extract_families": 20, "_d_pc_batch": 20, "_ssim_batch": 20}
+
+
+def test_axiom_table_counts_one_image_at_a_time_at_256_bins(tmp_path, monkeypatch):
+    # 4 x 256 x 256 cells a family are above _BLOCK: the image and each of its
+    # ten bank outputs take one count and one d_pc call each, as one family
+    # at a time did, and the rows are those of the one-image calls
+    _pin_cpus(monkeypatch, 1)
+    img = tmp_path / "img.pgm"
+    img.write_bytes(write_pgm(synthetic_corpus(count=1, size=48)[0][1]))
+    cfg = ExperimentConfig(corpus=(str(img),), bins=256)
+    sizes, stacked = [], harness._extract_families
+
+    def counted(images, *args):
+        sizes.append(len(images))
+        return stacked(images, *args)
+
+    monkeypatch.setattr(harness, "_extract_families", counted)
+    rows = run_axiom_table(cfg).tables[0].rows
+    assert sizes == [1] * 11
+    img = load_corpus(cfg)[0][1]
+    ref = extract_family(img, cfg.deltas, 256)
+    outs = [apply_transform(img, spec) for spec in default_bank(awgn_seed=cfg.seed + 1)]
+    assert [row[4] for row in rows] == [
+        _cell(d_pc(ref, extract_family(out, cfg.deltas, 256)).d_pc) for out in outs
+    ]
 
 
 def test_rd_curve_warns_but_holds(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
+from copsem import image_io
 from copsem.image_io import _BLOCK, REAL, GrayImage, _row_blocks, synth_gradient, synth_noise
 from copsem.rank_copula import (
     DEFAULT_DELTAS,
@@ -548,6 +550,40 @@ def test_stacked_families_are_per_image_families(monkeypatch, shape, bins, delta
             counts, want_pairs = _gather_counts(u, d, bins, stride)
             assert n_pairs == want_pairs, d
             assert np.array_equal(cells, counts / n_pairs), d
+
+
+def test_stacks_of_two_images_are_per_image_families(monkeypatch):
+    # a block of 2 * 1480 anchors takes two of the four 40 x 37 images at a time
+    monkeypatch.setattr(image_io, "_BLOCK", 2 * 40 * 37)
+    u8 = synth_noise(37, 40, 31)
+    images = [u8, GrayImage(37, 40, u8.pixels * 0.37 - 1.5, domain=REAL)]
+    images += [_tied_image((40, 37), False, 3, 1), _tied_image((40, 37), True, 5, 2)]
+    for stride in (1, 2):
+        stacked = _extract_families(images, DEFAULT_DELTAS, 8, stride)
+        assert stacked == [extract_family(img, DEFAULT_DELTAS, 8, stride) for img in images]
+
+
+def _transient_bytes(call):
+    """What call allocated at its peak beyond what its result still holds."""
+    call()  # once untraced, so first-call caches do not count
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current
+
+
+def test_stacked_count_holds_one_image_working_set_at_256_bins():
+    # one image's histogram at 256 bins is 256 * 257 cells, above _BLOCK, so
+    # eleven images are counted one at a time: beyond the families returned,
+    # the stack needs about what one image needs, not eleven times it
+    images = [synth_noise(96, 96, seed) for seed in range(11)]
+    one = _transient_bytes(lambda: _extract_families(images[:1], DEFAULT_DELTAS, 256, 1))
+    eleven = _transient_bytes(lambda: _extract_families(images, DEFAULT_DELTAS, 256, 1))
+    assert eleven < 1.5 * one, (one, eleven)
 
 
 def test_stacked_families_refuse_as_one_image_does():
