@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import QuantizedFamily, _decode_bits, _dequantize_rows, dequantize, pack
-from .image_io import _in_range, _row_blocks
+from .image_io import _fork_map, _in_range, _row_blocks
 from .metrics import _d_pc_batch
 from .rank_copula import _check_masses
 
@@ -150,11 +150,11 @@ def _check_runs(runs) -> None:
         _in_range("ber", ber, 0.0, 0.5)
 
 
-def _ber_experiments(q: QuantizedFamily, runs, map_blocks=map) -> list[ChannelExperiment]:
+def _ber_experiments(q: QuantizedFamily, runs) -> list[ChannelExperiment]:
     """One ChannelExperiment per (ber, trials, master_seed) run; trial t flips
-    the bits transmit(payload, ber, trial_seed(master_seed, t)) flips. map_blocks
-    scores the _row_blocks of each run's (trials, payload bits) flip plane, as
-    map would; each block XORs its flip plane with the payload bits once.
+    the bits transmit(payload, ber, trial_seed(master_seed, t)) flips. _fork_map
+    scores the _row_blocks of each run's (trials, payload bits) flip plane;
+    each block XORs its flip plane with the payload bits once.
     Each run hashes all its trials' streams up front; one generator draws them."""
     _check_runs(runs)
     n = len(q.deltas)
@@ -172,7 +172,7 @@ def _ber_experiments(q: QuantizedFamily, runs, map_blocks=map) -> list[ChannelEx
         return _d_pc_batch(reference, cells).tolist()
 
     blocks = [(k, s) for k, r in enumerate(runs) for s in _row_blocks(r[1], bits.size)]
-    scored = iter(map_blocks(score, blocks))
+    scored = iter(_fork_map(score, blocks))
     out = []
     for ber, trials, _ in runs:
         d = [x for _ in _row_blocks(trials, bits.size) for x in next(scored)]

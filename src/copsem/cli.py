@@ -239,11 +239,13 @@ _COMMANDS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """Built once; append flags copy their default on every parse."""
-    ap = argparse.ArgumentParser("copsem", description="rank-copula structural semantics toolkit")
+    """Built once; append flags copy their default on every parse; none abbreviates."""
+    ap = argparse.ArgumentParser(
+        "copsem", description="rank-copula structural semantics toolkit", allow_abbrev=False
+    )
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (fn, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=fn.__doc__)
+        p = sub.add_parser(command, help=fn.__doc__, allow_abbrev=False)
         for name in ("config", *names.split()):
             flag, kwargs = _ARGS[name]
             if flag != name:  # argparse takes no dest for a positional

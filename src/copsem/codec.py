@@ -65,10 +65,14 @@ class QuantizedFamily:
     __eq__ = _same_values
 
 
+def _quantize_cells(cells: np.ndarray, alpha, top) -> np.ndarray:
+    """The one quantizer rule: round(cell / alpha), half away from zero, clamped to [0, top]."""
+    return np.clip(np.floor(cells / alpha + 0.5).astype(np.int64), 0, top)
+
+
 def quantize(family: CopulaFamily, alpha: float) -> QuantizedFamily:
     """index = round(cell / alpha), half away from zero, clamped to the level range."""
-    lv = levels_for_alpha(alpha)
-    grids = np.clip(np.floor(family.cells / alpha + 0.5).astype(np.int64), 0, lv - 1)
+    grids = _quantize_cells(family.cells, alpha, levels_for_alpha(alpha) - 1)
     return QuantizedFamily(alpha, family.bins, family.deltas, grids)
 
 
@@ -129,7 +133,7 @@ def unpack(
     not a power of two) clamp to levels - 1; trailing pad bits are ignored.
     """
     bins = _in_range("bins", bins, 1, math.inf, "[)", integer=True)
-    deltas = tuple(Displacement(*d) for d in deltas)
+    deltas = _displacements(deltas)  # before any length check
     n_cells = len(deltas) * bins * bins
     expected = (n_cells * bits_per_cell(alpha) + 7) // 8
     if len(data) != expected:
@@ -193,7 +197,7 @@ def rd_sweep(family: CopulaFamily, alphas: Sequence[float]) -> list[RdPoint]:
     points = []
     for s in _row_blocks(len(alphas), n * bins * bins):
         step, top = np.array(alphas[s])[:, None, None], np.array(levels[s])[:, None, None] - 1
-        indices = np.clip(np.floor(cells / step + 0.5).astype(np.int64), 0, top)
+        indices = _quantize_cells(cells, step, top)
         decoded = _dequantize_rows(indices, step, bins)
         _check_masses(decoded.reshape(-1, bins * bins), "cell masses")
         dists = _d_pc_batch(cells, decoded).tolist()

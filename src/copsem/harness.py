@@ -14,8 +14,6 @@ import json
 import math
 import numbers
 import os
-import pickle
-import threading
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -36,7 +34,7 @@ from .bounds import (
 )
 from .channel import _ber_experiments, _check_runs, _seeded, _trial_seeds, trial_seed
 from .codec import RdPoint, _alpha_sweep, dequantize, levels_for_alpha, quantize, rd_sweep
-from .image_io import U8, GrayImage, _in_range, _load_pgm, _row_blocks, _sweep
+from .image_io import U8, GrayImage, _fork_map, _in_range, _load_pgm, _row_blocks, _sweep
 from .metrics import (
     _d_pc_batch, _js, _layout, _layout_sum, _mean_sqrt, _ssim_batch, format_float, psnr
 )
@@ -198,14 +196,8 @@ def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def load_corpus(cfg: ExperimentConfig) -> list[tuple[str, GrayImage]]:
-    if not cfg.corpus:
-        return synthetic_corpus(seed=cfg.seed)
-    return [_load_pgm(path) for path in cfg.corpus]
-
-
-def _map_corpus(cfg: ExperimentConfig, fn) -> list[tuple[str, object]]:
-    """(name, fn(image)) per load_corpus entry, through _fork_map."""
-    return _fork_map(lambda entry: (entry[0], fn(entry[1])), load_corpus(cfg))
+    """(stem, image) of each configured PGM file, else the synthetic corpus."""
+    return [_load_pgm(p) for p in cfg.corpus] if cfg.corpus else synthetic_corpus(seed=cfg.seed)
 
 
 def _cell(v) -> str:
@@ -304,64 +296,6 @@ def _result(
     return ExperimentResult(tuple(written), tuple(checks), dict(values or {}), tuple(warnings))
 
 
-_forking = False  # True while a _fork_map runs here, and in its children
-
-
-def _fork_map(fn, items) -> list:
-    """[fn(x) for x in items] in contiguous chunks, one per usable CPU: the
-    first here, each other in a forked child that pipes back its pickled
-    results, or its first error. Read in item order, the first failing item
-    raises; every child is reaped (killed first if the map is abandoned).
-    One CPU, no fork or affinity call, another live thread or a call inside
-    a running map take the plain loop."""
-    global _forking
-    items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    cpus = min(cpus, len(items)) if hasattr(os, "fork") else 1
-    if cpus < 2 or _forking or threading.active_count() > 1:
-        return [fn(x) for x in items]
-    cuts = [len(items) * c // cpus for c in range(cpus + 1)]
-    pids, fds = [], []
-    _forking = True
-    try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: exit 0 once the chunk's message is sent, else 1
-                try:
-                    try:
-                        msg = pickle.dumps((True, [fn(x) for x in items[lo:hi]]), -1)
-                    except BaseException as exc:
-                        msg = pickle.dumps((False, exc), -1)
-                    with open(w, "wb") as fh:
-                        fh.write(msg)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(w)
-            pids.append(pid)
-            fds.append(r)
-        out = [fn(x) for x in items[: cuts[1]]]
-        for fd in fds:
-            with open(fd, "rb", closefd=False) as fh:
-                msg = fh.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
-            if not msg:
-                raise RuntimeError(f"a forked worker exited with status {status} and no result")
-            ok, value = pickle.loads(msg)
-            if not ok:
-                raise value
-            out.extend(value)
-        return out
-    finally:
-        _forking = False
-        for pid in pids:
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
-
-
 # ---------------------------------------------------------------------------
 # invariance / severity table
 
@@ -399,7 +333,7 @@ def run_axiom_table(cfg: ExperimentConfig) -> ExperimentResult:
             entries.append((spec, out.domain, monotone_check(spec), dist, p, s))
         return entries
 
-    for name, entries in _map_corpus(cfg, score):
+    for name, entries in _fork_map(lambda e: (e[0], score(e[1])), load_corpus(cfg)):
         mono = [e[3] for e in entries if e[2]]
         dmg = [e[3] for e in entries if not e[2]]
         top_mono, low_dmg = max(mono), min(dmg)
@@ -440,17 +374,16 @@ def run_rd_curve(cfg: ExperimentConfig) -> ExperimentResult:
     whose cell masses sit near a half-lattice point of some step can decode
     worse at that step than at the coarser one (see the fixture_image note).
     """
-    n = len(cfg.deltas)
-    b2 = cfg.bins * cfg.bins
+    n, b2 = len(cfg.deltas), cfg.bins * cfg.bins
     header = ["image", "alpha", "rate_theory_bits", "rate_empirical_bits", "d_pc", "bound"]
     fit_header = ["image", "c2_fit", "d_eff", "r_squared"]
-    rows, fit_rows, warnings = [], [], []
-    over_bound, rate_excess = [], []
+    rows, fit_rows, warnings, over_bound, rate_excess = [], [], [], [], []
     alphas = _alpha_sweep(cfg.alphas)[0]  # before any extraction
-    sweeps = _map_corpus(
-        cfg, lambda img: rd_sweep(extract_family(img, cfg.deltas, cfg.bins, cfg.stride), alphas)
-    )
-    for name, points in sweeps:
+
+    def sweep(img: GrayImage) -> list[RdPoint]:
+        return rd_sweep(extract_family(img, cfg.deltas, cfg.bins, cfg.stride), alphas)
+
+    for name, points in _fork_map(lambda e: (e[0], sweep(e[1])), load_corpus(cfg)):
         for i, pt in enumerate(points):
             rows.append([name, *astuple(pt)])  # alpha, rate_theory, rate_empirical, d_pc, bound
             within_2x = pt.distortion <= 2.0 * pt.bound
@@ -588,7 +521,7 @@ def run_channel_sweep(cfg: ExperimentConfig, alpha: float = DEFAULT_ALPHA) -> Ex
     _check_runs(runs)  # the input checks come before the fixture is built
     levels_for_alpha(alpha)
     q = quantize(fixture_family(cfg), alpha)
-    *exps, lo, hi = _ber_experiments(q, runs, _fork_map)
+    *exps, lo, hi = _ber_experiments(q, runs)
     top = exps[-1]
     k_fit = top.mean_d_pc / top.shape_lra if top.shape_lra > 0 else 0.0
     means = [e.mean_d_pc for e in exps]

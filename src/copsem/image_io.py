@@ -1,4 +1,4 @@
-"""Grayscale image container, binary PGM (P5) I/O, and synthetic sources.
+"""Grayscale images, binary PGM (P5) I/O, synthetic sources and the shared rules.
 
 Images live in one of two pixel domains: 8-bit integers ("u8", the only
 domain that can be persisted) or unbounded reals ("real", produced by
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -54,6 +56,64 @@ def _row_blocks(rows: int, cols: int, least: int = 1):
     flip planes, the decoder-weight solve) or bounded (concentration draws)."""
     step = max(least, _BLOCK // cols)
     return (slice(r, r + step) for r in range(0, rows, step))
+
+
+_forking = False  # True while a _fork_map runs here, and in its children
+
+
+def _fork_map(fn, items) -> list:
+    """The one fork-join: [fn(x) for x in items] in contiguous chunks, one per
+    usable CPU, the first here and each other in a forked child that pipes
+    back its pickled results, or its first error. Read in item order, the
+    first failing item raises; every child is reaped (killed first if the map
+    is abandoned). One CPU, no fork or affinity call, another live thread or
+    a call inside a running map take the plain loop."""
+    global _forking
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = min(cpus, len(items)) if hasattr(os, "fork") else 1
+    if cpus < 2 or _forking or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    cuts = [len(items) * c // cpus for c in range(cpus + 1)]
+    pids, fds = [], []
+    _forking = True
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: exit 0 once the chunk's message is sent, else 1
+                try:
+                    try:
+                        msg = pickle.dumps((True, [fn(x) for x in items[lo:hi]]), -1)
+                    except BaseException as exc:
+                        msg = pickle.dumps((False, exc), -1)
+                    with open(w, "wb") as fh:
+                        fh.write(msg)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            pids.append(pid)
+            fds.append(r)
+        out = [fn(x) for x in items[: cuts[1]]]
+        for fd in fds:
+            with open(fd, "rb", closefd=False) as fh:
+                msg = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if not msg:
+                raise RuntimeError(f"a forked worker exited with status {status} and no result")
+            ok, value = pickle.loads(msg)
+            if not ok:
+                raise value
+            out.extend(value)
+        return out
+    finally:
+        _forking = False
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _same_values(self, other):

@@ -305,7 +305,7 @@ def _extract_families(
     images: Sequence[GrayImage], deltas: Sequence[Displacement], bins: int, stride: int
 ) -> list[CopulaFamily]:
     """extract_family of each of N images of one shape, counted in stacks."""
-    deltas = tuple(Displacement(*d) for d in deltas)
+    deltas = _displacements(deltas)  # before any pixel is binned
     bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
     if len({img.pixels.shape for img in images}) != 1:
         raise ValueError("a stack of images needs one shape")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -154,6 +156,10 @@ def _trial_by_trial(q, ber, trials, master_seed):
     return tuple(out)
 
 
+def _pin_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def _trials_per_block(q):
     """Trials in a full block: whole rows of about _BLOCK elements of the
     (trials, payload bits) flip plane, and at least one."""
@@ -161,9 +167,11 @@ def _trials_per_block(q):
 
 
 def _recorded_planes(monkeypatch):
-    """The corrupted bit plane of each block, in the order they are decoded."""
+    """The corrupted bit plane of each block, in the order they are decoded, on
+    one CPU: a forked child's blocks would be decoded out of sight."""
     from copsem import channel
 
+    _pin_cpus(monkeypatch, 1)
     planes = []
     decode = channel._decode_bits
 
@@ -186,6 +194,21 @@ def test_blocked_trials_match_trial_by_trial(rng, monkeypatch, alpha, ber):
     assert [len(p) for p in planes] == [step, 6]
     assert exp.distortions == _trial_by_trial(q, ber, trials, 31)
     assert len(exp.distortions) == trials
+
+
+def test_ber_experiment_forks_its_blocks_to_the_same_values(rng, monkeypatch):
+    # two blocks at two CPUs: the second is scored in one forked child
+    q = quantize(make_family(rng, conc=0.3), 1 / 64)
+    trials, forks, fork = _trials_per_block(q) + 6, [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = {}
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        runs[cpus] = ber_experiment(q, 1e-2, trials, 31)
+    assert len(forks) == 1
+    assert runs[1] == runs[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # the child was reaped
 
 
 def test_payload_longer_than_a_block_goes_one_trial_a_block(rng, monkeypatch):

@@ -174,6 +174,29 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, value,
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rd", "--alpha", "1e-12", "--alpha", "0.5"],  # ran as --alphas 0.5 and exited 0
+        ["channel", "--trial", "3"],
+        ["concentration", "--ctrial", "3"],
+    ],
+)
+def test_abbreviated_flags_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_root_parser_takes_no_abbreviated_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--hel"])  # used to print --help and exit 0
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_import_loads_no_scipy_stats(tmp_path):
     # one fresh interpreter in which scipy cannot be imported runs every subcommand
     # at a small config, and its blur and dctq give the pixels of scipy's kernels

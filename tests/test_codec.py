@@ -173,6 +173,12 @@ def test_repeated_displacement_rejected():
         unpack(bytes(3), 1 / 4, 2, (RIGHT, RIGHT))  # 2 x 4 cells x 3 bits
 
 
+def test_unpack_checks_the_displacement_set_before_the_length():
+    # used to report "stream holds 1 bytes, geometry needs 0"
+    with pytest.raises(ValueError, match="^a family needs at least one displacement$"):
+        unpack(b"\x00", 1 / 64, 8, [])
+
+
 def test_whole_float_bins_act_as_ints(rng):
     q = quantize(make_family(rng, bins=8, n_deltas=2), 1 / 16)
     back = unpack(pack(q), q.alpha, 8.0, q.deltas)

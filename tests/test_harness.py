@@ -776,18 +776,22 @@ def test_runners_identical_at_every_cpu_count(tmp_path, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    runners = [
+        run_axiom_table,
+        run_rd_curve,
+        lambda cfg: run_concentration(cfg, trials=30),
+        run_channel_sweep,
+    ]
     runs = {}
     for cpus in (1, 2, 3):
         _pin_cpus(monkeypatch, cpus)
-        before = len(forks)
-        runs[cpus] = [
-            run_axiom_table(cfg),
-            run_rd_curve(cfg),
-            run_concentration(cfg, trials=30),
-            run_channel_sweep(cfg),
-        ]
+        runs[cpus], counts = [], []
+        for runner in runners:
+            before = len(forks)
+            runs[cpus].append(runner(cfg))
+            counts.append(len(forks) - before)
         # every runner forks cpus - 1 children, and none at one CPU
-        assert len(forks) - before == 4 * (cpus - 1)
+        assert counts == [cpus - 1] * 4
         _assert_no_child_left()
     for cpus in (2, 3):
         for one, many in zip(runs[1], runs[cpus]):
@@ -815,12 +819,12 @@ def test_fork_map_raises_the_first_failing_item(monkeypatch):
     ]:
         _pin_cpus(monkeypatch, cpus)
         with pytest.raises((ValueError, Odd)) as exc:
-            harness._fork_map(fn, items)
+            image_io._fork_map(fn, items)
         assert type(exc.value) is (Odd if first % 2 else ValueError)
         assert str(exc.value) == f"item {first} failed"
         _assert_no_child_left()
         bad = set()
-        assert harness._fork_map(fn, items) == [x * x for x in items]
+        assert image_io._fork_map(fn, items) == [x * x for x in items]
         _assert_no_child_left()
 
 
@@ -847,7 +851,7 @@ def test_fork_map_names_the_status_of_a_child_that_died(monkeypatch):
     _pin_cpus(monkeypatch, 2)
     parent = os.getpid()
     with pytest.raises(RuntimeError, match="status 3"):
-        harness._fork_map(lambda x: x if os.getpid() == parent else os._exit(3), range(6))
+        image_io._fork_map(lambda x: x if os.getpid() == parent else os._exit(3), range(6))
     _assert_no_child_left()
 
 
@@ -858,12 +862,12 @@ def test_fork_map_runs_inline_where_it_cannot_fork(monkeypatch):
     me = os.getpid()
 
     def pids():
-        return harness._fork_map(lambda _: os.getpid(), range(6))
+        return image_io._fork_map(lambda _: os.getpid(), range(6))
 
     assert len(set(pids())) == 2  # forks when it can
 
     # a call inside a running map
-    nested = harness._fork_map(lambda _: (os.getpid(), set(pids())), range(4))
+    nested = image_io._fork_map(lambda _: (os.getpid(), set(pids())), range(4))
     assert len({pid for pid, _ in nested}) == 2
     assert all(inner == {pid} for pid, inner in nested)
 

@@ -323,6 +323,20 @@ def test_non_overlapping_stride():
         non_overlapping_stride([RIGHT, RIGHT])
 
 
+def test_repeated_displacement_refused_before_any_pixel_is_binned(monkeypatch):
+    from copsem import rank_copula
+
+    ranked = []
+    monkeypatch.setattr(rank_copula, "_midranks", lambda img: ranked.append(img))
+    for deltas, message in [
+        ([RIGHT, RIGHT], "displacements must be distinct"),
+        ([], "a family needs at least one displacement"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            extract_family(synth_noise(16, 16, 3), deltas, bins=4)
+    assert ranked == []
+
+
 def test_strided_extraction_counts():
     img = synth_noise(32, 32, 4)
     dense = extract_family(img, deltas=(RIGHT,), bins=4, stride=1)
