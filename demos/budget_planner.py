@@ -22,13 +22,13 @@ import argparse
 
 from copsem.bounds import (
     ConcentrationParams, DecoderModel, EncoderModel, SlaBudget,
-    enc_distortion_bound, est_distortion_from_samples, r_min, rate_achievability,
+    enc_distortion_bound, est_distortion_from_samples, nominal_d, r_min, rate_achievability,
     rate_converse, sample_complexity, sla_compose, sla_surface, t_min,
 )
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     ap.add_argument("--eps", type=float, default=0.5, help="end-to-end target")
     ap.add_argument("--bins", type=int, default=8)
     ap.add_argument("--n-deltas", type=int, default=4)
@@ -55,7 +55,7 @@ def main():
     print()
 
     print("stage 2: encoding")
-    d = args.n_deltas * (args.bins * args.bins - 1)
+    d = nominal_d(args.n_deltas, args.bins)
     rate = rate_achievability(args.n_deltas, args.bins, args.alpha)
     eps_enc = enc_distortion_bound(args.bins, args.alpha)
     print(f"  {d} free cells at step alpha={args.alpha:.5f}: "

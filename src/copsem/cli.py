@@ -1,6 +1,7 @@
 """Command line front end. Exit code 0: every asserted inequality held;
 1: a check failed, with one `check failed: ...` line per failed check;
-2: bad input (one `copsem: ...` stderr line) or argparse's usage error."""
+2: bad input or an allocation that failed (one `copsem: ...` stderr line),
+or argparse's usage error."""
 
 from __future__ import annotations
 
@@ -260,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = args.fn(args, _build_config(args))
         return 0 if result is None else _finish(args.command, result)
-    except (ValueError, OSError) as exc:
-        print(f"copsem: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"copsem: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

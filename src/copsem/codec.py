@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import enc_distortion_bound, rate_achievability
 from .image_io import _in_range, _row_blocks, _same_values, _sweep
-from .metrics import _d_pc_batch, _layout, _layout_sum
+from .metrics import _d_pc_batch, _support_sums
 from .rank_copula import CopulaFamily, Displacement, _check_masses, _displacements
 
 
@@ -153,8 +153,7 @@ def _entropies(rows: np.ndarray) -> np.ndarray:
     p = np.diff(at, append=rows.size) / rows.shape[1]
     terms = np.zeros(rows.size)
     terms[at] = p * np.log2(p)
-    layout = _layout(start)
-    return -_layout_sum(terms[layout[1]], layout)
+    return -_support_sums(terms, start)
 
 
 def entropy_bits(values: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from .channel import _ber_experiments, _check_runs, _seeded, _trial_seeds, trial
 from .codec import RdPoint, _alpha_sweep, dequantize, levels_for_alpha, quantize, rd_sweep
 from .image_io import U8, GrayImage, _fork_map, _in_range, _load_pgm, _row_blocks, _sweep
 from .metrics import (
-    _d_pc_batch, _js, _layout, _layout_sum, _mean_sqrt, _ssim_batch, format_float, psnr
+    _d_pc_batch, _js_scorer, _mean_sqrt, _ssim_batch, format_float, psnr
 )
 from .rank_copula import (
     DEFAULT_BINS,
@@ -551,9 +551,9 @@ def run_channel_sweep(cfg: ExperimentConfig, alpha: float = DEFAULT_ALPHA) -> Ex
 # end-to-end SLA pipeline
 
 
-def _mix_cells(cells: np.ndarray, w: float, b2: int) -> np.ndarray:
-    """(1 - w) * cells + w * uniform, for copulas of b2 cells."""
-    return (1.0 - w) * cells + w / b2
+def _mix_cells(cells: np.ndarray, w: float, b2: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(1 - w) * cells + w * uniform, for copulas of b2 cells, written into out if given."""
+    return np.add(np.multiply(1.0 - w, cells, out=out), w / b2, out=out)
 
 
 def mix_with_uniform(family: CopulaFamily, w: float) -> CopulaFamily:
@@ -571,33 +571,6 @@ def solve_decoder_weight(family: CopulaFamily, target: float) -> float:
     return float(_solve_weights(cells, [target])[0])
 
 
-def _mix_scorer(ref: np.ndarray):
-    """score(w) == _d_pc_batch(ref, _mix_cells(ref, w[:, None, None], n)) to the
-    last bit for (C, D, n) cells and (C,) weights, with the reference's layout
-    and the step buffers built once. A mix with w / n > 0 has full support, so
-    its rows form one full-width group; a step with a w / n == 0 does not."""
-    n = ref.shape[-1]
-    rows = ref.reshape(-1, n)
-    ref_layout, mix_layout = _layout(rows > 0.0), _layout(np.ones(rows.shape, dtype=bool))
-    kept = rows.reshape(-1)[ref_layout[1]]
-    mix, m, m_kept = np.empty(ref.shape), np.empty(ref.shape), np.empty_like(kept)
-
-    def score(w: np.ndarray) -> np.ndarray:
-        w = w[:, None, None]
-        if not np.all(w / n > 0.0):
-            return _d_pc_batch(ref, _mix_cells(ref, w, n))
-        np.add(np.multiply(1.0 - w, ref, out=mix), w / n, out=mix)
-        np.multiply(0.5, np.add(ref, mix, out=m), out=m)
-        np.take(m, ref_layout[1], out=m_kept, mode="clip")  # "raise" would buffer
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for x, t in ((kept, m_kept), (mix, m)):  # t holds m, then x * log(x / m)
-                np.multiply(x, np.log(np.divide(x, t, out=t), out=t), out=t)
-        js = _js(_layout_sum(m_kept, ref_layout), _layout_sum(m.reshape(-1), mix_layout))
-        return _mean_sqrt(js.reshape(ref.shape[:-1]))
-
-    return score
-
-
 def _solve_weights(cells: np.ndarray, targets: np.ndarray | list[float]) -> np.ndarray:
     """For each problem p, the mixing weight w whose distortion
     d_pc(cells[p], (1 - w) * cells[p] + w * uniform) hits targets[p], for
@@ -607,17 +580,23 @@ def _solve_weights(cells: np.ndarray, targets: np.ndarray | list[float]) -> np.n
     within target. Otherwise a bracket keeps d(lo) < target <= d(hi) and
     shrinks until no float lies strictly between lo and hi; the returned
     midpoint is then one of the two. The problems are bisected in lockstep, one
-    _mix_scorer per _row_blocks block of the (P, D * n) cells: each step scores
-    every problem of the block, and each visits exactly its own midpoints (a
-    finished one's is lo or hi, which its score leaves in place). A mix of two
-    distributions needs no mass check. A NaN target raises ValueError."""
+    _js_scorer per _row_blocks block of the (P, D * n) cells: each step writes
+    every problem's mix into one buffer and scores them all, and each problem
+    visits exactly its own midpoints (a finished one's is lo or hi, which its
+    score leaves in place). A mix of two distributions needs no mass check. A
+    NaN target raises ValueError."""
     targets = np.asarray(targets, dtype=np.float64)
     _in_range("decoder target", float(targets.min(initial=math.inf)), -math.inf, math.inf)
     out = np.zeros(len(targets))
     for s in _row_blocks(len(targets), math.prod(cells.shape[1:])):
         idx = np.arange(len(targets))[s]
         idx = idx[targets[idx] > 0.0]
-        score, target = _mix_scorer(cells[idx]), targets[idx]
+        ref, target = cells[idx], targets[idx]
+        js, mix = _js_scorer(ref, ref.shape), np.empty(ref.shape)
+
+        def score(w: np.ndarray) -> np.ndarray:  # each step's mixes go into one buffer
+            return _mean_sqrt(js(_mix_cells(ref, w[:, None, None], ref.shape[-1], mix)))
+
         hi = np.ones(len(idx))
         lo = (score(hi) <= target).astype(np.float64)  # the capped problems start at lo = hi = 1
         while ((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():

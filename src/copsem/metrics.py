@@ -38,14 +38,16 @@ def _dist_pair(p, q) -> list[np.ndarray]:
     return pair
 
 
-def _layout(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _layout(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """The summation layout of an (R, m) keep mask: the rows ordered by their
     count k of kept terms (a stable sort), the flat index of each kept term,
-    row by row in that order, and the number of rows of each k."""
+    row by row in that order, and each k that occurs with its number of rows."""
     k = keep.sum(axis=1)
     rows = np.argsort(k, kind="stable")
     index = (rows[:, None] * keep.shape[1] + np.arange(keep.shape[1]))[keep[rows]]
-    return rows, index, np.bincount(k).tolist()
+    counts = np.bincount(k)
+    sizes = np.flatnonzero(counts)
+    return rows, index, list(zip(sizes.tolist(), counts[sizes].tolist()))
 
 
 def _layout_sum(terms: np.ndarray, layout) -> np.ndarray:
@@ -54,37 +56,53 @@ def _layout_sum(terms: np.ndarray, layout) -> np.ndarray:
     takes another order, so other last bits. numpy sums each row of a
     contiguous (rows, k) block as it sums the row alone, so the kept terms of
     each k are summed as one block; dropped terms are not read."""
-    rows, _, counts = layout
+    rows, _, groups = layout
     out = np.empty(len(rows))
     i = j = 0  # first row and first term of the next block
-    for size, count in enumerate(counts):
-        if count:
-            out[rows[i : i + count]] = terms[j : j + count * size].reshape(count, size).sum(axis=1)
-            i, j = i + count, j + count * size
+    for size, count in groups:
+        out[rows[i : i + count]] = terms[j : j + count * size].reshape(count, size).sum(axis=1)
+        i, j = i + count, j + count * size
     return out
 
 
-def _js(sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """JS from the sums of x * log(x / m) over each side's support, clamped to
-    [0, ln 2] (where it lies mathematically) against last-ulp float residue."""
-    js = 0.5 * sp
-    js += 0.5 * sq
-    np.maximum(js, 0.0, out=js)
-    return np.minimum(js, LN2, out=js)
+def _support_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """np.sum(terms[r][keep[r]]) for every row r of an (R, m) keep mask and
+    terms of its size, to the last bit: the one support-sum rule."""
+    layout = _layout(keep)
+    return _layout_sum(terms.reshape(-1)[layout[1]], layout)
 
 
-def _js_batch(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """JS divergence of each row of a (D, n) reference against the matching
-    row of each of C candidates (C, D, n), as a (C, D) array; a (C, D, n)
-    reference gives each candidate its own. The terms are computed on every
-    cell; each row then sums over its own support, as in 1-D."""
-    m = 0.5 * (ref + cand)
-    x = np.empty((2, *cand.shape))
-    x[0], x[1] = ref, cand
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = x * np.log(x / m)
-    layout = _layout((x > 0.0).reshape(-1, cand.shape[-1]))
-    return _js(*_layout_sum(terms.reshape(-1)[layout[1]], layout).reshape(x.shape[:-1]))
+def _js_scorer(ref: np.ndarray, shape: tuple[int, ...]):
+    """score(cand) is the JS divergence of each row of a (D, n) reference
+    against the matching row of each of C candidates (C, D, n) = shape, as a
+    (C, D) array; a (C, D, n) reference gives each candidate its own. Each
+    side's x * log(x / m) terms are summed over its own support, as in 1-D,
+    and clamped to [0, ln 2] (where JS lies mathematically) against last-ulp
+    float residue. The reference's layout and the buffers are built once: a
+    candidate stack of full support is summed as plain rows, any other
+    through its own layout."""
+    n, m = shape[-1], np.empty(shape)
+    m[...] = ref  # each candidate's reference; from the first score on, the step buffer
+    layout = _layout(m.reshape(-1, n) > 0.0)
+    kept = m.reshape(-1)[layout[1]]
+    m_kept = np.empty_like(kept)
+
+    def score(cand: np.ndarray) -> np.ndarray:
+        np.multiply(0.5, np.add(ref, cand, out=m), out=m)
+        np.take(m, layout[1], out=m_kept, mode="clip")  # "raise" would buffer
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x, t in ((kept, m_kept), (cand, m)):  # t holds m, then x * log(x / m)
+                np.multiply(x, np.log(np.divide(x, t, out=t), out=t), out=t)
+        terms = m.reshape(-1, n)
+        js = 0.5 * _layout_sum(m_kept, layout)
+        if cand.min(initial=1.0) > 0.0:
+            js += 0.5 * terms.sum(axis=1)
+        else:
+            js += 0.5 * _support_sums(terms, cand.reshape(-1, n) > 0.0)
+        np.maximum(js, 0.0, out=js)
+        return np.minimum(js, LN2, out=js).reshape(shape[:-1])
+
+    return score
 
 
 def _mean_sqrt(js: np.ndarray) -> np.ndarray:
@@ -98,7 +116,7 @@ def _d_pc_batch(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
     (C,) array equal to the one-candidate d_pc bit for bit; a (C, D, n)
     reference pairs candidate c with reference c. The caller vouches that
     every row is a distribution."""
-    return _mean_sqrt(_js_batch(ref, cand))
+    return _mean_sqrt(_js_scorer(ref, cand.shape)(cand))
 
 
 def js_divergence(p, q) -> float:
@@ -110,7 +128,7 @@ def js_divergence(p, q) -> float:
     and is tight exactly on disjoint supports.
     """
     p, q = _dist_pair(p, q)
-    return float(_js_batch(p[None], q[None, None])[0, 0])
+    return float(_js_scorer(p[None], (1, 1, p.size))(q[None, None])[0, 0])
 
 
 def l1_distance(p, q) -> float:
@@ -152,8 +170,8 @@ def d_pc(a: CopulaFamily, b: CopulaFamily) -> DistortionReport:
             f"families not comparable: deltas {a.deltas} vs {b.deltas}, "
             f"bins {a.bins} vs {b.bins}"
         )
-    n = len(a.deltas)
-    js = _js_batch(a.cells.reshape(n, -1), b.cells.reshape(1, n, -1))
+    cand = b.cells.reshape(1, len(b.deltas), -1)
+    js = _js_scorer(a.cells.reshape(cand.shape[1:]), cand.shape)(cand)
     rows = tuple((delta, v, math.sqrt(v)) for delta, v in zip(a.deltas, js[0].tolist()))
     return DistortionReport(rows, float(_mean_sqrt(js)[0]))
 

@@ -246,6 +246,29 @@ print(json.dumps({{"rcs": rcs, "loaded": loaded, "pixels": pixels}}))
         assert np.array_equal(np.array(pixels, dtype=np.uint8), want), spec
 
 
+def test_failed_allocation_exits_two_with_one_line(tmp_path):
+    # 100000 bins a side ask for a 74.5 GiB count array; under a 4 GiB address
+    # space cap numpy raises MemoryError, which is bad input, not a failed check
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "noise.pgm"
+    path.write_bytes(write_pgm(synth_noise(96, 96, 1)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cap = 4 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "copsem.cli", "extract", "--bins", "100000", "--out", str(tmp_path), str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("copsem: ") and "allocate" in line
+
+
 def test_extract_writes_family_json(tmp_path, capsys):
     paths = _write_corpus(tmp_path, count=2)
     out = tmp_path / "out"

@@ -18,7 +18,6 @@ from copsem.harness import (
     _cell,
     _concentration_l1,
     _mix_cells,
-    _mix_scorer,
     _solve_weights,
     fixture_family,
     fixture_image,
@@ -430,25 +429,25 @@ def test_channel_top_pinned_constant_underestimates_small_r():
 def test_sla_pipeline_composition(tmp_path, monkeypatch):
     # counts the kernel calls: 100 lockstep problems take one step-scorer call
     # per step of the longest bisection (53-67 steps), not one per step of
-    # each, and the solve never falls back to the general kernel
+    # each, and the solve builds no d_pc of its own beside its step scorer
     calls = {"solve": 0, "all": 0}
-    kernel, scorer = harness._d_pc_batch, harness._mix_scorer
+    kernel, scorer = harness._d_pc_batch, harness._js_scorer
 
     def counting_kernel(ref, cand):
         calls["all"] += 1
         return kernel(ref, cand)
 
-    def counting_scorer(ref):
-        score = scorer(ref)
+    def counting_scorer(ref, shape):
+        score = scorer(ref, shape)
 
-        def counted(w):
+        def counted(cand):
             calls["solve"] += 1
-            return score(w)
+            return score(cand)
 
         return counted
 
     monkeypatch.setattr(harness, "_d_pc_batch", counting_kernel)
-    monkeypatch.setattr(harness, "_mix_scorer", counting_scorer)
+    monkeypatch.setattr(harness, "_js_scorer", counting_scorer)
     cfg = ExperimentConfig()
     result = run_sla_pipeline(replace(cfg, out_dir=str(tmp_path)))
     assert check_names(result) == {"composition", "decode_non_increasing"}
@@ -574,40 +573,31 @@ TINY_W = 2.7755575615628914e-16  # the bisection's weight on tex02 at T = 300
 
 
 @pytest.mark.parametrize("bins", [8, 16])
-def test_mix_scorer_matches_the_general_kernel(bins):
-    # the step scorer's buffers and hoisted layout give the bits of scoring
-    # each mix afresh, at random weights, at 1 and at the tiny tex02 weight
+def test_block_scorer_matches_the_general_kernel(monkeypatch, bins):
+    # the solve's block scorer, with its buffers and hoisted layout reused
+    # after the solve, gives the bits of scoring each mix afresh, at random
+    # weights, at 1 and at the tiny tex02 weight
     encs = _encoded_corpus(ExperimentConfig(bins=bins))
     refs = np.stack([e.cells.reshape(len(e.deltas), -1) for e in encs])
     assert len(refs) == 20 and (refs == 0.0).any()
     b2 = refs.shape[-1]
-    score = _mix_scorer(refs)
+    built, scorer = [], harness._js_scorer
+
+    def recording_scorer(ref, shape):  # the (ref, score) of each block the solve walks
+        built.append((ref, scorer(ref, shape)))
+        return built[-1][1]
+
+    monkeypatch.setattr(harness, "_js_scorer", recording_scorer)
+    _solve_weights(refs, np.full(20, 0.01))
+    ((ref, score),) = built
+    assert _bits(ref) == _bits(refs)
     rng = np.random.default_rng(bins)
     for w in [rng.random(20), rng.random(20) ** 40, np.ones(20), np.full(20, TINY_W)]:
-        want = _d_pc_batch(refs, _mix_cells(refs, w[:, None, None], b2))
-        assert _bits(score(w)) == _bits(want)
+        mix = _mix_cells(refs, w[:, None, None], b2)
+        assert _bits(metrics._mean_sqrt(score(mix))) == _bits(_d_pc_batch(refs, mix))
     if bins == 8:  # tex02 at the tiny weight: the cancellation reads 0.0 on both paths
-        assert score(np.full(20, TINY_W))[2] == 0.0
-
-
-def test_mix_scorer_takes_the_general_kernel_where_a_mix_loses_support(monkeypatch):
-    # w / B^2 == 0 leaves the reference's zero cells out of the mix's support,
-    # so the full-width candidate group would not hold: such a step is scored
-    # by the general kernel
-    calls = []
-    kernel = harness._d_pc_batch
-    monkeypatch.setattr(harness, "_d_pc_batch", lambda *a: calls.append(1) or kernel(*a))
-    encs = _encoded_corpus(ExperimentConfig())[:3]
-    refs = np.stack([e.cells.reshape(len(e.deltas), -1) for e in encs])
-    assert (refs == 0.0).any()
-    score = _mix_scorer(refs)
-    score(np.full(3, 0.5))
-    assert calls == []
-    for w in ([0.5, 5e-324, 0.25], [0.0, 0.0, 0.0]):
-        w = np.array(w)
-        assert (w / 64 == 0.0).any()
-        assert _bits(score(w)) == _bits(kernel(refs, _mix_cells(refs, w[:, None, None], 64)))
-    assert len(calls) == 2
+        mix = _mix_cells(refs, np.full((20, 1, 1), TINY_W), b2)
+        assert metrics._mean_sqrt(score(mix))[2] == 0.0
 
 
 def test_default_solve_takes_few_page_faults():

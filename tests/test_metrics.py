@@ -9,9 +9,10 @@ from copsem.image_io import GrayImage, synth_noise
 from copsem.metrics import (
     LN2,
     _d_pc_batch,
-    _layout,
-    _layout_sum,
+    _js_scorer,
+    _mean_sqrt,
     _ssim_batch,
+    _support_sums,
     SQRT_LN2,
     SSIM_C1,
     SSIM_C2,
@@ -180,14 +181,8 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-def _row_sums(a, keep):
-    """The kernel's row sums: a layout built from keep, applied to a's terms."""
-    layout = _layout(keep)
-    return _layout_sum(a.reshape(-1)[layout[1]], layout)
-
-
 def _poison_dropped(a, keep):
-    """NaN and +-inf at the dropped positions, as _js_batch passes 0 * log 0
+    """NaN and +-inf at the dropped positions, as _js_scorer passes 0 * log 0
     there: a sum that reads or zero-multiplies a dropped term is no longer
     finite."""
     a = a.copy()
@@ -208,8 +203,8 @@ def test_row_sums_match_one_dimensional_np_sum(width):
     keep[width + 1 :] = np.take_along_axis(keep[width + 1 :], scatter[width + 1 :], axis=1)
     a = _poison_dropped(a, keep)
     want = [np.sum(row[k]) for row, k in zip(a, keep)]
-    assert _bits(_row_sums(a, keep)) == _bits(want)
-    assert _row_sums(a[:0], keep[:0]).shape == (0,)
+    assert _bits(_support_sums(a, keep)) == _bits(want)
+    assert _support_sums(a[:0], keep[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 63, 64, 127, 128, 129, 136, 255, 256, 300])
@@ -219,7 +214,7 @@ def test_row_sums_of_one_row_match_np_sum(size):
     a = rng.standard_normal((1, 300))
     keep = rng.permutation(np.arange(300) < size)[None]
     a = _poison_dropped(a, keep)
-    assert _bits(_row_sums(a, keep)) == _bits([np.sum(a[0][keep[0]])])
+    assert _bits(_support_sums(a, keep)) == _bits([np.sum(a[0][keep[0]])])
 
 
 def _per_row_d_pc(ref, cand):
@@ -267,6 +262,24 @@ def test_batched_d_pc_takes_one_reference_per_candidate(bins):
     ref = np.stack([a.cells.reshape(4, -1) for a, _ in pairs])
     cand = np.stack([b.cells.reshape(4, -1) for _, b in pairs])
     assert _bits(_d_pc_batch(ref, cand)) == _bits([d_pc(a, b).d_pc for a, b in pairs])
+
+
+def test_scorer_sums_a_mix_that_lost_support_over_its_own_support():
+    # w / B^2 == 0 leaves the reference's zero cells out of a mix's support, so
+    # the stack is not of full support and goes through its own layout; the
+    # first call and a reuse of the scorer's buffers give the per-row bits
+    rng = np.random.default_rng(7)
+    fams = [dequantize(quantize(make_family(rng, conc=0.3), 1 / 16)) for _ in range(3)]
+    ref = np.stack([f.cells.reshape(4, -1) for f in fams])
+    assert (ref == 0.0).any()
+    score = _js_scorer(ref, ref.shape)
+    for w in ([0.5, 5e-324, 0.25], [0.0, 0.0, 0.0], [0.5, 0.75, 0.25]):
+        w = np.array(w)[:, None, None]
+        mix = (1.0 - w) * ref + w / 64
+        assert ((mix == 0.0).any() == (w / 64 == 0.0).any())
+        want = [_per_row_d_pc(r, c) for r, c in zip(ref, mix)]
+        assert _bits(_mean_sqrt(score(mix))) == _bits(want)
+        assert _bits(_mean_sqrt(score(mix))) == _bits(want)
 
 
 TINY_W = 2.7755575615628914e-16  # the bisection's weight on tex02 at T = 300
