@@ -35,7 +35,7 @@ from .harness import (
     run_sla_pipeline,
     run_sla_surface,
 )
-from .image_io import _load_pgm
+from .image_io import _load_pgm, _stems
 from .metrics import d_pc, psnr, ssim
 from .rank_copula import CopulaFamily, Displacement, extract_family
 
@@ -126,6 +126,7 @@ def _load_family(path: str, cfg: ExperimentConfig):
 
 def _cmd_extract(args, cfg: ExperimentConfig) -> None:
     """image -> copula family JSON"""
+    _stems(args.images)  # a repeated image name fails before any file is read
     os.makedirs(cfg.out_dir, exist_ok=True)
     for path in args.images:
         stem, img = _load_pgm(path)

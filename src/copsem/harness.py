@@ -34,9 +34,9 @@ from .bounds import (
 )
 from .channel import _ber_experiments, _check_runs, _seeded, _trial_seeds, trial_seed
 from .codec import RdPoint, _alpha_sweep, dequantize, levels_for_alpha, quantize, rd_sweep
-from .image_io import U8, GrayImage, _fork_map, _in_range, _load_pgm, _row_blocks, _sweep
+from .image_io import U8, GrayImage, _fork_map, _in_range, _load_pgm, _row_blocks, _stems, _sweep
 from .metrics import (
-    _d_pc_batch, _js_scorer, _mean_sqrt, _ssim_batch, format_float, psnr
+    _d_pc_batch, _js_scorer, _mean_sqrt, _ssim_batch, psnr
 )
 from .rank_copula import (
     DEFAULT_BINS,
@@ -80,6 +80,7 @@ class ExperimentConfig:
         object.__setattr__(self, "deltas", _displacements(self.deltas))
         seed = _in_range("seed", self.seed, 0, math.inf, "[)", integer=True)
         object.__setattr__(self, "seed", seed)
+        _stems(self.corpus)  # a repeated image name fails before any file is read
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -201,9 +202,9 @@ def load_corpus(cfg: ExperimentConfig) -> list[tuple[str, GrayImage]]:
 
 
 def _cell(v) -> str:
-    """The one rule for a table cell or a printed value: "" for None,
-    true/false, str for integers, format_float for other reals, str as is,
-    and a tuple as [a, b]. bool is tested first, as it is also an integer."""
+    """The one rule for a table cell or a printed value: "" for None, true/false
+    (tested first: a bool is an integer), str for integers, str as is, a tuple
+    as [a, b], and other reals as "inf" or their shortest exact round-trip repr."""
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -214,7 +215,7 @@ def _cell(v) -> str:
         return v
     if isinstance(v, tuple):
         return "[" + ", ".join(map(_cell, v)) + "]"
-    return format_float(v)
+    return "inf" if math.isinf(v) else repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -620,44 +621,41 @@ def run_sla_pipeline(
     budget (check decode_non_increasing, observed as the largest rise).
 
     T runs ascending, and an empty grid or a repeated T raises ValueError.
-    A first pass extracts and encodes every image, and two paired _d_pc_batch
-    calls score every image's estimate and encode stages; one lockstep solve
-    then finds the decoder weight of every (image, T); a second pass scores
-    each image's decodes for all T at once."""
+    Per _row_blocks block of images (about _BLOCK (image, T) cells, or one
+    image), each image is extracted and encoded; paired _d_pc_batch calls
+    score the estimate and encode stages, one lockstep solve weighs every
+    (image, T), and two more score the decode and end-to-end stages."""
     alpha, t_grid = float(alpha), _sweep("compute grid", t_grid)
     targets = [dec.error(t) for t in t_grid]
     levels_for_alpha(alpha)  # T and alpha are checked before the corpus is loaded
     sub = non_overlapping_stride(cfg.deltas)
-    n, b2 = len(cfg.deltas), cfg.bins * cfg.bins
-    names, stages = [], []
-    for name, img in load_corpus(cfg):
-        truth = extract_family(img, cfg.deltas, cfg.bins, stride=1)
-        est = extract_family(img, cfg.deltas, cfg.bins, stride=sub)
-        enc = dequantize(quantize(est, alpha))
-        names.append(name)
-        stages.append([f.cells.reshape(n, b2) for f in (truth, est, enc)])
-    truths, ests, encs = np.array(stages).swapaxes(0, 1)  # each (images, D, B * B)
-    d_ests, d_encs = _d_pc_batch(truths, ests).tolist(), _d_pc_batch(ests, encs).tolist()
-    problems = np.repeat(encs, len(t_grid), axis=0)
-    weights = _solve_weights(problems, targets * len(names)).reshape(len(names), len(t_grid))
+    n, b2, k = len(cfg.deltas), cfg.bins * cfg.bins, len(t_grid)
+    corpus = load_corpus(cfg)
     header = "image stride alpha T w d_est d_enc d_dec d_total bound holds".split()
-    rows = []
-    excess, rises = [], []
-    for name, truth, enc, d_est, d_enc, ws in zip(names, truths, encs, d_ests, d_encs, weights):
-        mixed = _mix_cells(enc, ws[:, None, None], b2)
+    rows, excess, rises = [], [], []
+    for blk in _row_blocks(len(corpus), k * n * b2):
+        stages = []
+        for _, img in corpus[blk]:
+            truth, est = (extract_family(img, cfg.deltas, cfg.bins, stride=s) for s in (1, sub))
+            enc = dequantize(quantize(est, alpha))
+            stages.append([f.cells.reshape(n, b2) for f in (truth, est, enc)])
+        truths, ests, encs = np.array(stages).swapaxes(0, 1)  # each (images, D, B * B)
+        d_ests, d_encs = _d_pc_batch(truths, ests).tolist(), _d_pc_batch(ests, encs).tolist()
+        ws = _solve_weights(np.repeat(encs, k, axis=0), targets * len(stages)).reshape(-1, k)
+        mixed = _mix_cells(encs[:, None], ws[:, :, None, None], b2)  # (images, T, D, B * B)
         _check_masses(mixed.reshape(-1, b2), "cell masses")
-        d_decs, d_totals = _d_pc_batch(enc, mixed).tolist(), _d_pc_batch(truth, mixed).tolist()
-        prev_dec = None
-        for t_budget, w, d_dec, d_total in zip(t_grid, ws.tolist(), d_decs, d_totals):
-            bound = sla_compose(SlaBudget(d_est, d_enc, d_dec)).eps_total
-            holds = d_total <= bound + 1e-12
-            excess.append((d_total - bound, holds))
-            if prev_dec is not None:
-                rises.append((d_dec - prev_dec, d_dec <= prev_dec + 1e-12))
-            prev_dec = d_dec
-            rows.append(
-                [name, sub, alpha, t_budget, w, d_est, d_enc, d_dec, d_total, bound, holds]
-            )
+        d_decs, d_totals = (_d_pc_batch(ref[:, None], mixed).tolist() for ref in (encs, truths))
+        per_image = zip(corpus[blk], d_ests, d_encs, ws.tolist(), d_decs, d_totals)
+        for (name, _), d_est, d_enc, w_i, dec_i, total_i in per_image:
+            for j, (t_budget, w, d_dec, d_total) in enumerate(zip(t_grid, w_i, dec_i, total_i)):
+                bound = sla_compose(SlaBudget(d_est, d_enc, d_dec)).eps_total
+                holds = d_total <= bound + 1e-12
+                excess.append((d_total - bound, holds))
+                if j:
+                    rises.append((d_dec - dec_i[j - 1], d_dec <= dec_i[j - 1] + 1e-12))
+                rows.append(
+                    [name, sub, alpha, t_budget, w, d_est, d_enc, d_dec, d_total, bound, holds]
+                )
     checks = [
         _check("composition", 1e-12, excess),
         _check("decode_non_increasing", 1e-12, rises),

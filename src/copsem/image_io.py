@@ -244,11 +244,21 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(width, height, px, U8)
 
 
+def _stems(paths) -> list[str]:
+    """The one stem rule: a file's name without its extension names its image,
+    and so its output file or rows; a repeated stem raises ValueError."""
+    stems = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise ValueError(f"image name {stem!r} repeated by {paths[i]!r}")
+    return stems
+
+
 def _load_pgm(path: str) -> tuple[str, GrayImage]:
-    """(stem, image) of the binary PGM file at path; the stem names the image."""
+    """(stem, image) of the binary PGM file at path."""
     with open(path, "rb") as fh:
         img = read_pgm(fh.read())
-    return os.path.splitext(os.path.basename(path))[0], img
+    return _stems([path])[0], img
 
 
 def write_pgm(img: GrayImage) -> bytes:

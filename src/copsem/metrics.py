@@ -75,7 +75,8 @@ def _support_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def _js_scorer(ref: np.ndarray, shape: tuple[int, ...]):
     """score(cand) is the JS divergence of each row of a (D, n) reference
     against the matching row of each of C candidates (C, D, n) = shape, as a
-    (C, D) array; a (C, D, n) reference gives each candidate its own. Each
+    (C, D) array; a reference of more axes is broadcast to shape, giving each
+    candidate its own, and a shape of more leading axes keeps them. Each
     side's x * log(x / m) terms are summed over its own support, as in 1-D,
     and clamped to [0, ln 2] (where JS lies mathematically) against last-ulp
     float residue. The reference's layout and the buffers are built once: a
@@ -114,8 +115,8 @@ def _mean_sqrt(js: np.ndarray) -> np.ndarray:
 def _d_pc_batch(ref: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """d_pc of a (D, n) reference against each of C candidates (C, D, n), as a
     (C,) array equal to the one-candidate d_pc bit for bit; a (C, D, n)
-    reference pairs candidate c with reference c. The caller vouches that
-    every row is a distribution."""
+    reference pairs candidate c with reference c, and leading axes broadcast
+    as in _js_scorer. The caller vouches that every row is a distribution."""
     return _mean_sqrt(_js_scorer(ref, cand.shape)(cand))
 
 
@@ -253,11 +254,3 @@ def _ssim_batch(a: GrayImage, bs) -> np.ndarray:
     num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (mx * mx + my * my + SSIM_C1) * (vxy + SSIM_C2)
     return np.mean(num / den, axis=-1)
-
-
-def format_float(x: float) -> str:
-    """Deterministic CSV float form; shortest exact round-trip, 'inf' sentinel."""
-    if math.isinf(x):
-        return "inf"
-    return repr(float(x))
-

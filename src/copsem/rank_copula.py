@@ -43,7 +43,7 @@ class EmptySampleError(ValueError):
 
 def _displacements(deltas: Sequence[Displacement]) -> tuple[Displacement, ...]:
     """The one displacement-set rule: a tuple of at least one Displacement,
-    none repeated, else ValueError. _count_family rejects (0, 0)."""
+    none repeated, else ValueError. _extract_families rejects (0, 0)."""
     deltas = tuple(Displacement(*d) for d in deltas)
     if not deltas:
         raise ValueError("a family needs at least one displacement")
@@ -235,10 +235,12 @@ def _anchor_range(extent: int, offset: int, stride: int) -> range:
     return range(-(-lo // stride) * stride, extent - max(0, offset), stride)
 
 
-def _count_family(images, deltas, bins: int, stride: int):
-    """Yields the family of each of N (height, width) images in turn, one
-    copula per displacement: each image's bin map, each distinct pixel value
-    binned once, is written inside its own border of the sentinel code bins
+def _extract_families(
+    images: Sequence[GrayImage], deltas: Sequence[Displacement], bins: int, stride: int
+) -> list[CopulaFamily]:
+    """extract_family of each of N images of one shape, one copula per
+    displacement: each image's bin map, each distinct pixel value binned
+    once, is written inside its own border of the sentinel code bins
     ("partner outside the image") as wide as some displacement reaches.
 
     Each anchor gets one joint code by Horner's rule: its index in its block
@@ -248,8 +250,12 @@ def _count_family(images, deltas, bins: int, stride: int):
     anchors. Blocks of whole images hold about _BLOCK anchors and histogram
     cells (_row_blocks), or one image, whose rows are then blocked too; one
     np.bincount per block counts a group, and each displacement's counts are
-    the histogram summed over the other partners, without the sentinel.
-    """
+    the histogram summed over the other partners, without the sentinel. A
+    block's copulas are gone before the next block is counted."""
+    deltas = _displacements(deltas)  # before any pixel is binned
+    bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
+    if len({img.pixels.shape for img in images}) != 1:
+        raise ValueError("a stack of images needs one shape")
     stride = _in_range("stride", stride, 1, math.inf, "[)", integer=True)
     height, width = images[0].pixels.shape
     n_pairs = []
@@ -297,19 +303,10 @@ def _count_family(images, deltas, bins: int, stride: int):
             [EmpiricalCopula(bins, c[k] / n, n) for c, n in zip(counts, n_pairs)] for k in range(m)
         ]
 
+    fams = []
     for i in _row_blocks(len(images), max(own[0].size, bins * (bins + 1) ** g)):
-        yield from (CopulaFamily(deltas, [c.cells for c in cs], n_pairs, stride) for cs in block(i))
-
-
-def _extract_families(
-    images: Sequence[GrayImage], deltas: Sequence[Displacement], bins: int, stride: int
-) -> list[CopulaFamily]:
-    """extract_family of each of N images of one shape, counted in stacks."""
-    deltas = _displacements(deltas)  # before any pixel is binned
-    bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
-    if len({img.pixels.shape for img in images}) != 1:
-        raise ValueError("a stack of images needs one shape")
-    return list(_count_family(images, deltas, bins, stride))
+        fams += [CopulaFamily(deltas, [c.cells for c in cs], n_pairs, stride) for cs in block(i)]
+    return fams
 
 
 def extract_family(

@@ -309,6 +309,30 @@ def test_reused_parser_resets_repeatable_flags(tmp_path, capsys):
         assert getattr(_parser().parse_args([command]), name) is None
 
 
+def test_repeated_image_name_exits_two(tmp_path, capsys):
+    # the stem names each output file and each CSV row, so two files of one
+    # stem are refused, from flags or a config file, before anything is written
+    paths = []
+    for d in ("d1", "d2"):
+        (tmp_path / d).mkdir()
+        paths.append(str(tmp_path / d / "x.pgm"))
+        with open(paths[-1], "wb") as fh:
+            fh.write(write_pgm(synth_noise(16, 16, len(paths))))
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(f"corpus = {paths[0]},{paths[1]}\n")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["extract", "--out", out, *paths],
+        ["axioms", "--corpus", *paths, "--out", out],
+        ["sla-pipeline", "--config", str(cfg), "--out", out],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"copsem: image name 'x' repeated by {paths[1]!r}"]
+    assert not os.path.exists(out)
+
+
 def test_dpc_on_identical_images_reports_zero(tmp_path, capsys):
     img = synth_gradient(64, 64)
     p = tmp_path / "g.pgm"

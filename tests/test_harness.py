@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from copsem.harness import (
     synthetic_corpus,
 )
 from copsem.codec import dequantize, quantize
-from copsem.image_io import write_pgm
+from copsem.image_io import synth_noise, write_pgm
 from copsem.metrics import _d_pc_batch, d_pc
 from copsem.rank_copula import extract_family, non_overlapping_stride
 from copsem.transforms import apply_transform, default_bank, gaussian_blur_array
@@ -46,6 +47,16 @@ def _bits(values):
 def read_lines(path):
     with open(path, "rb") as fh:
         return fh.read().split(b"\n")
+
+
+def test_config_refuses_a_repeated_image_name():
+    # one stem rule for flags and config files, checked before any file is read
+    # (these files do not exist)
+    with pytest.raises(ValueError, match=r"^image name 'x' repeated by 'd2/x\.pgm'$"):
+        ExperimentConfig(corpus=("d1/x.pgm", "y.pgm", "d2/x.pgm"))
+    with pytest.raises(ValueError, match=r"^image name 'x' repeated by 'x\.PGM'$"):
+        ExperimentConfig.from_dict({"corpus": ["d1/x.pgm", "x.PGM"]})
+    assert ExperimentConfig(corpus=("d1/x.pgm", "d1/x.pgm.pgm")).corpus[1] == "d1/x.pgm.pgm"
 
 
 def test_config_from_dict():
@@ -455,10 +466,85 @@ def test_sla_pipeline_composition(tmp_path, monkeypatch):
     assert all(row[-1] == "true" for row in table.rows)
     assert read_lines(table.path)[0] == b"#schema=copsem.sla_pipeline.v1"
     assert calls["solve"] <= 80
-    # d_est and d_enc of every image in one call each, then d_dec and d_total per image
-    assert calls["all"] == 2 + 2 * 20
+    # the 20 images are one block: d_est, d_enc, d_dec and d_total of every image
+    # and T in one paired call each
+    assert calls["all"] == 4
     with pytest.raises(ValueError, match="empty compute grid"):
         run_sla_pipeline(cfg, t_grid=())
+
+
+@pytest.mark.parametrize("block, per_block", [(1280, 1), (3000, 2)])
+def test_sla_pipeline_blocks_write_the_one_block_rows(monkeypatch, block, per_block):
+    # a block holds _BLOCK // (5 T * 4 * 64 cells) images: one at 1280, two at
+    # 3000. Each block makes four paired d_pc kernel calls and one solve of its
+    # images' 5 T each, and no call per image
+    cfg = ExperimentConfig()
+    want = run_sla_pipeline(cfg).tables[0].rows
+    calls = {"kernel": 0, "solve": []}
+    kernel, solve = harness._d_pc_batch, harness._solve_weights
+
+    def counting_kernel(ref, cand):
+        calls["kernel"] += 1
+        return kernel(ref, cand)
+
+    def counting_solve(cells, targets):
+        calls["solve"].append(len(cells))
+        return solve(cells, targets)
+
+    monkeypatch.setattr(image_io, "_BLOCK", block)
+    monkeypatch.setattr(harness, "_d_pc_batch", counting_kernel)
+    monkeypatch.setattr(harness, "_solve_weights", counting_solve)
+    assert run_sla_pipeline(cfg).tables[0].rows == want
+    blocks = 20 // per_block
+    assert calls == {"kernel": 4 * blocks, "solve": [5 * per_block] * blocks}
+
+
+def test_sla_pipeline_holds_one_image_working_set_at_256_bins(tmp_path):
+    # one image's T = 0 problem is 4 x 256 x 256 cells, above _BLOCK, so three
+    # images run one block each and peak about as high as one image
+    paths = []
+    for name, img in synthetic_corpus(count=3, size=48):
+        paths.append(tmp_path / f"{name}.pgm")
+        paths[-1].write_bytes(write_pgm(img))
+
+    def peak(count):
+        cfg = ExperimentConfig(corpus=tuple(map(str, paths[:count])), bins=256)
+        run_sla_pipeline(cfg, t_grid=(0.0,))
+        tracemalloc.start()
+        try:
+            run_sla_pipeline(cfg, t_grid=(0.0,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(1), peak(3)
+    assert three < 1.5 * one, (one, three)
+
+
+def test_sla_pipeline_two_sizes_at_infinite_budget_match_each_image(tmp_path):
+    # at T = inf the target is 0 and w = 0, so a mix is its encode, zero cells
+    # and all: one stack then holds rows summed over their support beside the
+    # full-support mixes of T = 0 and 7. Every row is the per-image value
+    paths = []
+    for width, height, seed in ((64, 48, 3), (40, 72, 4)):
+        paths.append(str(tmp_path / f"n{width}x{height}.pgm"))
+        with open(paths[-1], "wb") as fh:
+            fh.write(write_pgm(synth_noise(width, height, seed)))
+    cfg, dec = ExperimentConfig(corpus=tuple(paths)), DecoderModel(0.9, 0.1)
+    (table,) = run_sla_pipeline(cfg, t_grid=(math.inf, 0.0, 7.0)).tables
+    sub, want, supports = non_overlapping_stride(cfg.deltas), [], set()
+    for name, img in load_corpus(cfg):
+        truth = extract_family(img, cfg.deltas, cfg.bins)
+        est = extract_family(img, cfg.deltas, cfg.bins, stride=sub)
+        enc = dequantize(quantize(est, 1 / 64))
+        for t in (0.0, 7.0, math.inf):
+            w = solve_decoder_weight(enc, dec.error(t))
+            mixed = mix_with_uniform(enc, w)
+            supports.add(bool((mixed.cells > 0.0).all()))
+            dists = [d_pc(*pair).d_pc for pair in ((truth, est), (est, enc), (enc, mixed))]
+            want.append([name, t, w, *dists, d_pc(truth, mixed).d_pc])
+    assert supports == {True, False}
+    assert [[r[0], *r[3:9]] for r in table.rows] == [list(map(_cell, row)) for row in want]
 
 
 def test_sla_surface_roundtrip(tmp_path):
@@ -708,6 +794,9 @@ def test_cell_rule():
     assert (_cell(0.0), _cell(np.float64(1 / 3)), _cell(math.inf)) == ("0.0", repr(1 / 3), "inf")
     assert _cell("pass") == "pass"
     assert _cell((1.6, 2)) == "[1.6, 2]"
+    assert _cell(0.1) == "0.1"
+    assert float(_cell(1 / 3)) == 1 / 3
+    assert _cell(math.inf) == "inf"
 
 
 def test_integer_grids_write_the_float_rows(tmp_path):

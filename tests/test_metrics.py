@@ -18,7 +18,6 @@ from copsem.metrics import (
     SSIM_C2,
     IncomparableFamiliesError,
     d_pc,
-    format_float,
     js_divergence,
     l1_distance,
     psnr,
@@ -446,12 +445,6 @@ def test_psnr_matches_float_formula(rng, shape):
         mse = float(np.mean(diff * diff))
         want = math.inf if mse == 0.0 else 10.0 * math.log10(255.0 * 255.0 / mse)
         assert psnr(a, b) == want, shape
-
-
-def test_format_float():
-    assert format_float(0.1) == "0.1"
-    assert float(format_float(1 / 3)) == 1 / 3
-    assert format_float(math.inf) == "inf"
 
 
 @given(st.integers(0, 2**32 - 1))
