@@ -794,9 +794,6 @@ def test_cell_rule():
     assert (_cell(0.0), _cell(np.float64(1 / 3)), _cell(math.inf)) == ("0.0", repr(1 / 3), "inf")
     assert _cell("pass") == "pass"
     assert _cell((1.6, 2)) == "[1.6, 2]"
-    assert _cell(0.1) == "0.1"
-    assert float(_cell(1 / 3)) == 1 / 3
-    assert _cell(math.inf) == "inf"
 
 
 def test_integer_grids_write_the_float_rows(tmp_path):

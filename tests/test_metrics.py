@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from copsem.codec import dequantize, quantize
+from copsem.harness import _cell
 from copsem.image_io import GrayImage, synth_noise
 from copsem.metrics import (
     LN2,
@@ -445,6 +446,12 @@ def test_psnr_matches_float_formula(rng, shape):
         mse = float(np.mean(diff * diff))
         want = math.inf if mse == 0.0 else 10.0 * math.log10(255.0 * 255.0 / mse)
         assert psnr(a, b) == want, shape
+
+
+def test_format_float():
+    assert _cell(0.1) == "0.1"
+    assert float(_cell(1 / 3)) == 1 / 3
+    assert _cell(math.inf) == "inf"
 
 
 @given(st.integers(0, 2**32 - 1))
