@@ -12,8 +12,11 @@ bits r_min at a fixed compute budget, and the least compute t_min at a
 fixed rate. Finally it prints a small slice of the (rate, compute) design
 surface so the trade-off is visible as numbers, not just formulas.
 
-All knobs are flags; the defaults reproduce the numbers the experiment
-harness validates by Monte-Carlo.
+All knobs are flags. The defaults are the experiment harness's (bins,
+displacements, eta, alpha, decoder, operating T, eps and eps_est), and the
+encoder constant is bounds.REFERENCE_C2, sqrt(ln 2)/4 rounded: a reference
+point, not a fitted value. The estimation radius --t 0.2 and the plan's
+target --eps 0.5 are the demo's own.
 
 Run: python3 demos/budget_planner.py [--eps 0.5] [--bins 8] ...
 """
@@ -21,27 +24,34 @@ Run: python3 demos/budget_planner.py [--eps 0.5] [--bins 8] ...
 import argparse
 
 from copsem.bounds import (
-    ConcentrationParams, DecoderModel, EncoderModel, SlaBudget,
+    REFERENCE_C2, ConcentrationParams, DecoderModel, EncoderModel, SlaBudget,
     enc_distortion_bound, est_distortion_from_samples, nominal_d, r_min, rate_achievability,
     rate_converse, sample_complexity, sla_compose, sla_surface, t_min,
+)
+from copsem.harness import (
+    DEFAULT_ALPHA, DEFAULT_BINS, DEFAULT_CONCENTRATION, DEFAULT_DECODER, DEFAULT_DELTAS,
+    DEFAULT_EPS, DEFAULT_EPS_EST, OPERATING_T,
 )
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
-    ap.add_argument("--eps", type=float, default=0.5, help="end-to-end target")
-    ap.add_argument("--bins", type=int, default=8)
-    ap.add_argument("--n-deltas", type=int, default=4)
-    ap.add_argument("--t", type=float, default=0.2, help="L1 estimation radius")
-    ap.add_argument("--eta", type=float, default=0.05, help="failure probability")
-    ap.add_argument("--alpha", type=float, default=1 / 64, help="quantizer step")
-    ap.add_argument("--rho", type=float, default=0.9, help="decoder contraction")
-    ap.add_argument("--delta0", type=float, default=0.1, help="decoder start error")
-    ap.add_argument("--c2", type=float, default=0.20814, help="fitted rate constant")
-    ap.add_argument("--T", type=float, default=20.0, help="compute budget, steps")
-    ap.add_argument("--op-eps", type=float, default=0.05,
+    ap.add_argument("--eps", type=float, default=0.5, help="end-to-end target (the demo's own)")
+    ap.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    ap.add_argument("--n-deltas", type=int, default=len(DEFAULT_DELTAS))
+    ap.add_argument("--t", type=float, default=0.2, help="L1 estimation radius (the demo's own)")
+    ap.add_argument("--eta", type=float, default=DEFAULT_CONCENTRATION.eta,
+                    help="failure probability")
+    ap.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="quantizer step")
+    ap.add_argument("--rho", type=float, default=DEFAULT_DECODER.rho, help="decoder contraction")
+    ap.add_argument("--delta0", type=float, default=DEFAULT_DECODER.delta0,
+                    help="decoder start error")
+    ap.add_argument("--c2", type=float, default=REFERENCE_C2,
+                    help="encoder rate constant (default: the unfitted reference)")
+    ap.add_argument("--T", type=float, default=OPERATING_T, help="compute budget, steps")
+    ap.add_argument("--op-eps", type=float, default=DEFAULT_EPS,
                     help="end-to-end target at the measured operating point")
-    ap.add_argument("--op-eps-est", type=float, default=0.01,
+    ap.add_argument("--op-eps-est", type=float, default=DEFAULT_EPS_EST,
                     help="measured estimation slice at the operating point")
     args = ap.parse_args()
 
@@ -79,8 +89,8 @@ def main():
     print()
 
     print("the plan above priced every stage at its worst-case closed form.")
-    print("operating the pipeline uses the measured point instead: the fitted")
-    print(f"encoder model c2={args.c2}, d={d}, and a measured estimation")
+    print("operating the pipeline uses the operating point instead: the reference")
+    print(f"encoder model c2={args.c2} (not fitted), d={d}, and a measured estimation")
     print(f"slice eps_est={args.op_eps_est} against the tighter target "
           f"eps={args.op_eps}.")
     enc = EncoderModel(args.c2, d)

@@ -12,7 +12,6 @@ from .rank_copula import (
     DEFAULT_DELTAS,
     CopulaFamily,
     Displacement,
-    EmpiricalCopula,
     RankField,
     extract_family,
     coarsen,

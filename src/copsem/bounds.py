@@ -24,6 +24,11 @@ from .metrics import LN2, SQRT_LN2
 # into an empty cell costs linearly in TV, not quadratically). The budget
 # is therefore a design target, enforced empirically with a hard gate at 2x.
 ENC_BOUND_COEFF = SQRT_LN2 / 4.0
+# The encoder constant c2 of `copsem bounds` and the budget planner when none
+# is given: ENC_BOUND_COEFF (0.2081386...) rounded to five digits. It is a
+# reference point, not a fit; the fit on the sla-surface fixture at d = 252
+# gives c2 = 9.4285.
+REFERENCE_C2 = 0.20814
 
 
 def nominal_d(n_deltas: int, bins: int) -> int:
@@ -220,10 +225,11 @@ def sla_surface(
     ts = np.asarray(t_grid, dtype=np.float64)
     _in_range("rate grid", float(rs.min()), 0.0, math.inf)  # min is NaN if any entry is
     _in_range("compute grid", float(ts.min()), 0.0, math.inf)
-    # The model formulas again, on arrays: numpy's array ** differs from
-    # Python's float ** in the last bit on about 5 % of inputs, 0.9 ** 40
-    # among them, so one shared formula would move sla_pipeline.csv (its
-    # T = 40 decoder target) or sla_surface.csv.
+    # The model formulas again, on arrays: where numpy dispatches float64
+    # power to its AVX-512 (X86_V4) kernel, array ** differs from Python's
+    # float ** in the last bit on about 5 % of inputs, 0.9 ** 40 among them,
+    # so one shared formula would move sla_pipeline.csv (its T = 40 decoder
+    # target) or sla_surface.csv. Without that kernel the two agree.
     enc_err = enc.c2 * 2.0 ** (-rs / enc.d)
     dec_err = (dec.rho**ts) * dec.delta0
     return eps_est + enc_err[:, None] + dec_err[None, :]

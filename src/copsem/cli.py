@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import bounds as bounds_mod
-from .bounds import ConcentrationParams, DecoderModel, EncoderModel, nominal_d
+from .bounds import REFERENCE_C2, ConcentrationParams, DecoderModel, EncoderModel, nominal_d
 from .harness import (
     DEFAULT_ALPHA,
     DEFAULT_CONCENTRATION,
@@ -86,7 +86,10 @@ _ARGS = {
     "T_grid": ("--T", dict(type=float, action="append", help="compute budget; repeatable")),
     "T": ("--T", dict(type=float, default=OPERATING_T, help="compute budget")),
     "R": ("--R", dict(type=float, default=731.0, help="rate in bits")),
-    "c2": ("--c2", dict(type=float, help="encoder constant (default: fitted; bounds: 0.20814)")),
+    "c2": (
+        "--c2",
+        dict(type=float, help=f"encoder constant (sla-surface: fitted; bounds: {REFERENCE_C2})"),
+    ),
     "d": ("--d", dict(type=int, help="encoder exponent (default |deltas| * (B^2 - 1))")),
     "images": ("images", dict(nargs="+", help="PGM files")),
     "a": ("a", dict(help="PGM file or family JSON")),
@@ -205,7 +208,7 @@ def _cmd_bounds(args, cfg: ExperimentConfig) -> None:
     params = ConcentrationParams(args.cbins, args.cdeltas, args.t, args.eta)
     n_deltas = len(cfg.deltas)
     dec = DecoderModel(args.rho, args.delta0)
-    enc = _encoder(args, cfg, default_c2=0.20814)
+    enc = _encoder(args, cfg, default_c2=REFERENCE_C2)
     n_eff = bounds_mod.sample_complexity(params)
     lines = {
         "n_eff": n_eff,

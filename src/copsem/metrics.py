@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_io import U8, GrayImage, _row_blocks
+from .image_io import U8, DomainError, GrayImage, _row_blocks
 from .rank_copula import CopulaFamily, Displacement, _check_masses
 
 LN2 = math.log(2.0)
@@ -179,7 +179,7 @@ def d_pc(a: CopulaFamily, b: CopulaFamily) -> DistortionReport:
 
 def _check_u8_pair(a: GrayImage, b: GrayImage):
     if a.domain != U8 or b.domain != U8:
-        raise ValueError("pixel-domain baselines require u8 images")
+        raise DomainError("pixel-domain baselines require u8 images")
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(
             f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"

@@ -87,29 +87,15 @@ class RankField:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCopula:
-    """B x B cell masses, nonnegative, summing to 1.
+    """One displacement's B x B cell masses as _extract_families counts them:
+    one record per displacement per image, the count perfbench reports. The
+    CopulaFamily built from the records validates their cells; this only
+    makes them read-only."""
 
-    cells[i, j] is the fraction of anchor pairs whose (u(p), u(p+delta))
-    fell in row-bin i and column-bin j. n_pairs = 0 marks a copula that
-    is not a direct estimate (e.g. a decoded one).
-    """
-
-    bins: int
     cells: np.ndarray
-    n_pairs: int
 
     def __post_init__(self):
-        for name, lo in (("bins", 1), ("n_pairs", 0)):
-            value = _in_range(name, getattr(self, name), lo, math.inf, "[)", integer=True)
-            object.__setattr__(self, name, value)
-        arr = np.array(self.cells, dtype=np.float64)
-        if arr.shape != (self.bins, self.bins):
-            raise ValueError(f"cells shape {arr.shape} != ({self.bins}, {self.bins})")
-        _check_masses(arr.reshape(1, -1), "cell masses")
-        arr.flags.writeable = False
-        object.__setattr__(self, "cells", arr)
-
-    __eq__ = _same_values
+        self.cells.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +120,11 @@ class CopulaFamily:
         if arr.ndim != 3 or arr.shape[0] != len(deltas) or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"cells shape {arr.shape} is not ({len(deltas)}, B, B)")
         _check_masses(arr.reshape(len(deltas), -1), "cell masses")
-        n_pairs = tuple(int(n) for n in self.n_pairs)
-        if len(n_pairs) != len(deltas) or min(n_pairs) < 0:
-            raise ValueError(f"n_pairs {n_pairs} must hold one count >= 0 per displacement")
+        n_pairs = tuple(
+            _in_range("n_pairs", n, 0, math.inf, "[)", integer=True) for n in self.n_pairs
+        )
+        if len(n_pairs) != len(deltas):
+            raise ValueError(f"n_pairs {n_pairs} must hold one count per displacement")
         stride = _in_range("stride", self.stride, 0, math.inf, "[)", integer=True)
         arr.flags.writeable = False
         object.__setattr__(self, "stride", stride)
@@ -299,9 +287,7 @@ def _extract_families(
                 hist += np.bincount(code.ravel(), minlength=hist.size)
             others = [tuple(b for b in range(2, len(axes)) if b != a) for a in range(2, len(axes))]
             counts += [np.add.reduce(hist.reshape(axes), axis)[:, :, :bins] for axis in others]
-        return [
-            [EmpiricalCopula(bins, c[k] / n, n) for c, n in zip(counts, n_pairs)] for k in range(m)
-        ]
+        return [[EmpiricalCopula(c[k] / n) for c, n in zip(counts, n_pairs)] for k in range(m)]
 
     fams = []
     for i in _row_blocks(len(images), max(own[0].size, bins * (bins + 1) ** g)):
@@ -329,14 +315,15 @@ def extract_family(
     return _extract_families([img], deltas, bins, stride)[0]
 
 
-def coarsen(copula: EmpiricalCopula, factor: int) -> EmpiricalCopula:
-    """Merge factor x factor blocks of cells. factor must divide bins."""
+def coarsen(family: CopulaFamily, factor: int) -> CopulaFamily:
+    """Merge factor x factor blocks of each displacement's cells. factor must
+    divide bins; deltas, n_pairs and stride are kept."""
     factor = _in_range("factor", factor, 2, math.inf, "[)", integer=True)
-    if copula.bins % factor != 0:
-        raise ValueError(f"factor {factor} does not divide bins {copula.bins}")
-    nb = copula.bins // factor
-    merged = copula.cells.reshape(nb, factor, nb, factor).sum(axis=(1, 3))
-    return EmpiricalCopula(nb, merged, copula.n_pairs)
+    if family.bins % factor != 0:
+        raise ValueError(f"factor {factor} does not divide bins {family.bins}")
+    nb = family.bins // factor
+    merged = family.cells.reshape(-1, nb, factor, nb, factor).sum(axis=(2, 4))
+    return CopulaFamily(family.deltas, merged, family.n_pairs, family.stride)
 
 
 def non_overlapping_stride(deltas: Sequence[Displacement]) -> int:

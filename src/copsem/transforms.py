@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_io import REAL, U8, GrayImage, _in_range, _row_blocks
+from .image_io import REAL, U8, DomainError, GrayImage, _in_range, _row_blocks
 
 BRIGHTNESS = "brightness"
 CONTRAST = "contrast"
@@ -228,7 +228,7 @@ def _block_dct_quant_array(x: np.ndarray, quality: int) -> np.ndarray:
 def apply_transform(img: GrayImage, spec: TransformSpec) -> GrayImage:
     """Apply spec to a u8 image; output domain follows spec.domain."""
     if img.domain != U8:
-        raise ValueError("transforms take u8 input")
+        raise DomainError("transforms take u8 input")
     x = img.pixels.astype(np.float64)
     p = spec.params
     if spec.kind == BRIGHTNESS:

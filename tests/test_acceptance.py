@@ -60,8 +60,10 @@ from copsem.harness import (
 )
 from copsem.image_io import REAL
 from copsem.metrics import SQRT_LN2, d_pc, js_divergence, l1_distance
-from copsem.rank_copula import CopulaFamily, EmpiricalCopula, coarsen, extract_family
+from copsem.rank_copula import CopulaFamily, coarsen, extract_family
 from copsem.transforms import apply_transform, brightness, contrast, gamma
+
+from conftest import make_family
 
 CFG = ExperimentConfig()
 
@@ -236,8 +238,8 @@ def test_bin_merging_never_increases_divergence():
     concs = (0.1, 1.0, 10.0)
     for i in range(1_000):
         conc = concs[i % len(concs)]
-        a8 = EmpiricalCopula(8, rng.dirichlet(np.full(64, conc)).reshape(8, 8), 0)
-        b8 = EmpiricalCopula(8, rng.dirichlet(np.full(64, conc)).reshape(8, 8), 0)
+        a8 = make_family(rng, bins=8, n_deltas=1, conc=conc)
+        b8 = make_family(rng, bins=8, n_deltas=1, conc=conc)
         a4, b4 = coarsen(a8, 2), coarsen(b8, 2)
         a2, b2 = coarsen(a4, 2), coarsen(b4, 2)
         js8 = js_divergence(a8.cells, b8.cells)

@@ -21,7 +21,9 @@ from copsem.image_io import (
     write_pgm,
 )
 from copsem.codec import QuantizedFamily
-from copsem.rank_copula import CopulaFamily, EmpiricalCopula
+from copsem.metrics import psnr, ssim
+from copsem.rank_copula import CopulaFamily
+from copsem.transforms import apply_transform, brightness
 
 
 def test_roundtrip_noise():
@@ -178,6 +180,17 @@ def test_u8_domain_rejects_floats():
         GrayImage(2, 2, np.array([[0.5, 1.0], [2.0, 3.0]]), domain=U8)
 
 
+def test_u8_operations_on_a_real_image_raise_domain_error():
+    real = GrayImage(8, 8, np.zeros((8, 8)), domain=REAL)
+    u8 = synth_noise(8, 8, 1)
+    with pytest.raises(DomainError):
+        apply_transform(real, brightness(10.0))
+    for baseline in (psnr, ssim):
+        for a, b in ((real, u8), (u8, real)):
+            with pytest.raises(DomainError):
+                baseline(a, b)
+
+
 # Each value type holding an array, its constructor keywords, and changes
 # of one field each (width and height only change together with the shape).
 VALUE_TYPES = [
@@ -186,12 +199,6 @@ VALUE_TYPES = [
         dict(width=2, height=1, pixels=[[1, 2]], domain=U8),
         [dict(pixels=[[1, 3]]), dict(domain=REAL), dict(width=1, height=2, pixels=[[1], [2]])],
         id="GrayImage",
-    ),
-    pytest.param(
-        EmpiricalCopula,
-        dict(bins=2, cells=[[0.5, 0.0], [0.0, 0.5]], n_pairs=4),
-        [dict(cells=[[0.25, 0.25], [0.25, 0.25]]), dict(n_pairs=0), dict(bins=1, cells=[[1.0]])],
-        id="EmpiricalCopula",
     ),
     pytest.param(
         CopulaFamily,

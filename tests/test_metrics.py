@@ -115,11 +115,9 @@ def test_sqrt_js_triangle(rng):
 
 
 def test_coarsen_never_increases_js(rng):
-    from copsem.rank_copula import EmpiricalCopula
-
     for _ in range(100):
-        a = EmpiricalCopula(8, rng.dirichlet(np.ones(64)).reshape(8, 8), 0)
-        b = EmpiricalCopula(8, rng.dirichlet(np.ones(64)).reshape(8, 8), 0)
+        a = make_family(rng, bins=8, n_deltas=1)
+        b = make_family(rng, bins=8, n_deltas=1)
         js_fine = js_divergence(a.cells.ravel(), b.cells.ravel())
         for factor in (2, 4):
             ca, cb = coarsen(a, factor), coarsen(b, factor)

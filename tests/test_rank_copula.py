@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
-from copsem import image_io
+from copsem import image_io, rank_copula
 from copsem.image_io import _BLOCK, REAL, GrayImage, _row_blocks, synth_gradient, synth_noise
 from copsem.rank_copula import (
     DEFAULT_DELTAS,
@@ -367,8 +367,6 @@ def test_family_validation():
             CopulaFamily((RIGHT, DOWN), cells, (0, 0), stride=0)
     with pytest.raises(ValueError):
         CopulaFamily((RIGHT, DOWN), uniform, (0,), stride=0)
-    with pytest.raises(ValueError):
-        EmpiricalCopula(2, nan[1], 0)
     doc = CopulaFamily((RIGHT, DOWN), uniform, (0, 0), stride=0).to_json()
     bad_docs = [doc.replace("0.25", token, 1) for token in ("NaN", "Infinity", "-Infinity")]
     bad_docs += ["[1]", doc.replace('"n_pairs"', '"pairs"'), doc.replace('"stride":0', '"stride":null')]
@@ -394,42 +392,41 @@ def test_family_validation():
 
 def test_coarsen_blocks():
     img = synth_noise(64, 64, 12)
-    fam = extract_family(img, (RIGHT,), bins=8)
-    cop = EmpiricalCopula(fam.bins, fam.cells[0], fam.n_pairs[0])
-    half = coarsen(cop, 2)
+    fam = extract_family(img, (RIGHT, DOWN), bins=8, stride=2)
+    half = coarsen(fam, 2)
     assert half.bins == 4
-    assert abs(half.cells.sum() - 1.0) < 1e-12
-    assert abs(half.cells[0, 0] - cop.cells[:2, :2].sum()) < 1e-15
+    assert (half.deltas, half.n_pairs, half.stride) == (fam.deltas, fam.n_pairs, fam.stride)
+    assert np.all(np.abs(half.cells.sum(axis=(1, 2)) - 1.0) < 1e-12)
+    assert np.all(np.abs(half.cells[:, 0, 0] - fam.cells[:, :2, :2].sum(axis=(1, 2))) < 1e-15)
     single = coarsen(coarsen(half, 2), 2)
-    assert single.bins == 1 and abs(single.cells[0, 0] - 1.0) < 1e-12
+    assert single.bins == 1 and np.all(np.abs(single.cells - 1.0) < 1e-12)
 
 
 def test_coarsen_bad_factor():
-    cop = EmpiricalCopula(8, np.full((8, 8), 1.0 / 64), 0)
+    fam = CopulaFamily((RIGHT,), np.full((1, 8, 8), 1.0 / 64), (0,), stride=0)
     with pytest.raises(ValueError):
-        coarsen(cop, 3)
+        coarsen(fam, 3)
     with pytest.raises(ValueError):
-        coarsen(cop, 1)
+        coarsen(fam, 1)
 
 
 _IMG = synth_noise(6, 5, 3)
 _UNIFORM = np.full((2, 2), 0.25)
+_UNIFORM_FAMILY = CopulaFamily((RIGHT,), _UNIFORM[None], (0,), 0)
 
 # (build from the value, name, accepted interval, an out-of-range finite value)
 SCALAR_RANGES = [
     (lambda v: extract_family(_IMG, (RIGHT,), v), "bins", "[2, inf)", 1),
-    (lambda v: EmpiricalCopula(v, _UNIFORM, 0), "bins", "[1, inf)", 0),
-    (lambda v: EmpiricalCopula(2, _UNIFORM, v), "n_pairs", "[0, inf)", -1),
+    (lambda v: CopulaFamily((RIGHT,), _UNIFORM[None], (v,), 1), "n_pairs", "[0, inf)", -1),
     (lambda v: extract_family(_IMG, (RIGHT,), 2, v), "stride", "[1, inf)", 0),
     (lambda v: CopulaFamily((RIGHT,), _UNIFORM[None], (0,), v), "stride", "[0, inf)", -1),
-    (lambda v: coarsen(EmpiricalCopula(2, _UNIFORM, 0), v), "factor", "[2, inf)", 1),
+    (lambda v: coarsen(_UNIFORM_FAMILY, v), "factor", "[2, inf)", 1),
 ]
 
 
 SCALAR_RANGE_IDS = [
     "extract_family-bins",
-    "EmpiricalCopula-bins",
-    "EmpiricalCopula-n_pairs",
+    "CopulaFamily-n_pairs",
     "extract_family-stride",
     "CopulaFamily-stride",
     "coarsen-factor",
@@ -588,6 +585,22 @@ def _transient_bytes(call):
         tracemalloc.stop()
     del result
     return peak - current
+
+
+def test_each_extracted_family_is_validated_once(monkeypatch):
+    # the per-displacement records are not checked; the family built from
+    # them checks its stacked cells once, in one call for all its copulas
+    checked, check = [], rank_copula._check_masses
+    counted = lambda rows, name: checked.append(rows.shape) or check(rows, name)  # noqa: E731
+    monkeypatch.setattr(rank_copula, "_check_masses", counted)
+    images = [synth_noise(96, 96, seed) for seed in range(11)]
+    _extract_families(images, DEFAULT_DELTAS, 8, 1)
+    assert checked == [(len(DEFAULT_DELTAS), 64)] * len(images)
+
+
+def test_the_package_exports_no_per_displacement_copula():
+    with pytest.raises(ImportError):
+        from copsem import EmpiricalCopula  # noqa: F401
 
 
 def test_stacked_count_holds_one_image_working_set_at_256_bins():
