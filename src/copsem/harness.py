@@ -622,7 +622,8 @@ def run_sla_pipeline(
 
     T runs ascending, and an empty grid or a repeated T raises ValueError.
     Per _row_blocks block of images (about _BLOCK (image, T) cells, or one
-    image), each image is extracted and encoded; paired _d_pc_batch calls
+    image), each run of images of one shape takes one stacked count per
+    stride, and each estimate is encoded; paired _d_pc_batch calls
     score the estimate and encode stages, one lockstep solve weighs every
     (image, T), and two more score the decode and end-to-end stages."""
     alpha, t_grid = float(alpha), _sweep("compute grid", t_grid)
@@ -634,11 +635,13 @@ def run_sla_pipeline(
     header = "image stride alpha T w d_est d_enc d_dec d_total bound holds".split()
     rows, excess, rises = [], [], []
     for blk in _row_blocks(len(corpus), k * n * b2):
-        stages = []
-        for _, img in corpus[blk]:
-            truth, est = (extract_family(img, cfg.deltas, cfg.bins, stride=s) for s in (1, sub))
-            enc = dequantize(quantize(est, alpha))
-            stages.append([f.cells.reshape(n, b2) for f in (truth, est, enc)])
+        images, stages = [img for _, img in corpus[blk]], []
+        shapes = [img.pixels.shape for img in images]
+        cuts = [j for j in range(1, len(images)) if shapes[j] != shapes[j - 1]]
+        for a, b in zip([0, *cuts], [*cuts, len(images)]):  # runs of one shape
+            truth, est = (_extract_families(images[a:b], cfg.deltas, cfg.bins, s) for s in (1, sub))
+            for fams in zip(truth, est, (dequantize(quantize(e, alpha)) for e in est)):
+                stages.append([f.cells.reshape(n, b2) for f in fams])
         truths, ests, encs = np.array(stages).swapaxes(0, 1)  # each (images, D, B * B)
         d_ests, d_encs = _d_pc_batch(truths, ests).tolist(), _d_pc_batch(ests, encs).tolist()
         ws = _solve_weights(np.repeat(encs, k, axis=0), targets * len(stages)).reshape(-1, k)

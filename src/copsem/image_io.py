@@ -153,9 +153,18 @@ class DomainError(ValueError):
     """Operation applied to an image in the wrong pixel domain."""
 
 
+def _over_bytes(px: np.ndarray) -> bool:
+    """True when px's memory belongs to a bytes object, which is immutable."""
+    while isinstance(px, np.ndarray):
+        px = px.base
+    return isinstance(px, bytes)
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Single-channel image. pixels is a (height, width) row-major array."""
+    """Single-channel image. pixels is a read-only (height, width) row-major
+    array: a copy of the given one, or for u8 pixels over a bytes object
+    (read_pgm's payload) a view of it."""
 
     width: int
     height: int
@@ -188,7 +197,9 @@ class GrayImage:
                         raise DomainError("u8 image requires integer pixel values")
                 if px.min() < 0 or px.max() > 255:
                     raise DomainError("u8 image requires pixel values in [0, 255]")
-            px = px.astype(np.uint8)  # a copy: the image never aliases the caller's buffer
+            # a copy, so the image never aliases a buffer the caller can write,
+            # unless the memory is a bytes object's, which nothing can change
+            px = px.astype(np.uint8, copy=not _over_bytes(px))
         else:
             px = px.astype(np.float64)
             if not np.all(np.isfinite(px)):
@@ -203,8 +214,12 @@ def read_pgm(data: bytes) -> GrayImage:
     """Parse a binary (P5) PGM byte stream into a u8 GrayImage.
 
     Header comments (lines starting with '#') are skipped. Exactly one
-    whitespace byte separates the maxval token from the payload.
+    whitespace byte separates the maxval token from the payload. The image
+    views the payload of a bytes object; any other buffer (a bytearray, a
+    memoryview) is copied first, so the image never changes with it.
     """
+    if not isinstance(data, bytes):
+        data = bytes(data)
     if not data.startswith(b"P5"):
         raise PgmHeaderError("not a binary PGM stream (magic != P5)")
     pos = 2
@@ -238,8 +253,7 @@ def read_pgm(data: bytes) -> GrayImage:
     if n - pos < width * height:
         raise PgmTruncatedError(f"payload holds {n - pos} bytes, needs {width * height}")
     px = np.frombuffer(data, np.uint8, width * height, pos)
-    top = px.max()
-    if top > maxval:
+    if maxval < 255 and (top := px.max()) > maxval:  # no byte exceeds 255
         raise PgmPixelError(f"pixel value {top} exceeds maxval {maxval}")
     return GrayImage(width, height, px, U8)
 

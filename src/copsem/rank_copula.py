@@ -227,19 +227,23 @@ def _extract_families(
     images: Sequence[GrayImage], deltas: Sequence[Displacement], bins: int, stride: int
 ) -> list[CopulaFamily]:
     """extract_family of each of N images of one shape, one copula per
-    displacement: each image's bin map, each distinct pixel value binned
-    once, is written inside its own border of the sentinel code bins
-    ("partner outside the image") as wide as some displacement reaches.
+    displacement, each distinct pixel value binned once.
 
-    Each anchor gets one joint code by Horner's rule: its index in its block
-    of images, its own bin, then each partner's code in base bins + 1, for a
-    group of g displacements, g the largest with bins * (bins + 1)^g <=
+    The anchors are counted in blocks of whole images that hold about _BLOCK
+    anchors and histogram cells (_row_blocks), or one image, whose anchor
+    rows are then blocked too. Each block of anchor rows, with the halo rows
+    its displacements reach, is binned into one slab of the call's one
+    buffer, inside a border of the sentinel code bins ("partner outside the
+    image") as wide as some displacement reaches, and every group of
+    displacements counts it while it is in cache. Each anchor gets one joint
+    code by Horner's rule: its index in its block of images, its own bin,
+    then each partner's code in base bins + 1, for a group of g
+    displacements, g the largest with bins * (bins + 1)^g <=
     max(bins * (bins + 1), min(_BLOCK, anchors // 8)) over one image's
-    anchors. Blocks of whole images hold about _BLOCK anchors and histogram
-    cells (_row_blocks), or one image, whose rows are then blocked too; one
-    np.bincount per block counts a group, and each displacement's counts are
-    the histogram summed over the other partners, without the sentinel. A
-    block's copulas are gone before the next block is counted."""
+    anchors. One np.bincount per slab counts a group, and each
+    displacement's counts are the group's histogram summed over the other
+    partners, without the sentinel. A block's copulas are gone before the
+    next block is counted."""
     deltas = _displacements(deltas)  # before any pixel is binned
     bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
     if len({img.pixels.shape for img in images}) != 1:
@@ -259,40 +263,50 @@ def _extract_families(
             )
     dxs, dys = zip((0, 0), *deltas)
     left, top, right, bottom = -min(dxs), -min(dys), max(dxs), max(dys)
-    shape = (len(images), top + height + bottom, left + width + right)
-    padded = np.full(shape, bins, np.min_scalar_type(bins))
-    for img, cell in zip(images, padded[:, top : top + height, left : left + width]):
-        inverse, u = _midranks(img)
-        table = _bin_of(u, bins)
-        for s in _row_blocks(height, width):
-            np.take(table, inverse[s], out=cell[s])
-    own, *partners = (
-        padded[:, top + dy : top + dy + height : stride, left + dx : left + dx + width : stride]
-        for dx, dy in ((0, 0), *deltas)
-    )
-    cap = max(bins * (bins + 1), min(_BLOCK, own[0].size // 8))
+    rows, cols = len(range(0, height, stride)), len(range(0, width, stride))
+    cap = max(bins * (bins + 1), min(_BLOCK, rows * cols // 8))
     g = max(k for k in range(1, cap.bit_length()) if bins * (bins + 1) ** k <= cap)
+    groups = [deltas[k : k + g] for k in range(0, len(deltas), g)]
+    blocks = list(_row_blocks(len(images), max(rows * cols, bins * (bins + 1) ** g)))
+    spans = [range(rows)[s] for s in _row_blocks(rows, cols)]
+    reach = top + bottom + 1 - stride  # slab rows beyond stride per anchor row
+    buf = np.empty(
+        (len(images[blocks[0]]), len(spans[0]) * stride + reach, left + width + right),
+        np.min_scalar_type(bins),
+    )
+    buf[:, :, :left], buf[:, :, left + width :] = bins, bins
 
-    def block(i: slice) -> list[list[EmpiricalCopula]]:  # its counts go when it returns
-        m, counts = len(images[i]), []
-        for group in (partners[k : k + g] for k in range(0, len(partners), g)):
-            axes = (m, bins) + (bins + 1,) * len(group)
-            hist = np.zeros(math.prod(axes), np.int64)
+    def block(batch: Sequence[GrayImage]) -> list[CopulaFamily]:  # its counts go on return
+        ranks = ((inverse, _bin_of(u, bins)) for inverse, u in map(_midranks, batch))
+        if len(spans) > 1:  # one image, binned a slab at a time; else one rank lives at a time
+            ranks = list(ranks)
+        m, hists = len(batch), []
+        for group in groups:
+            hist = np.zeros(m * bins * (bins + 1) ** len(group), np.int64)
             digit = np.arange(m, dtype=np.min_scalar_type(hist.size - 1))[:, None, None] * bins
-            for s in _row_blocks(*own.shape[1:]):
-                code = digit + own[i, s]  # in digit's dtype, which holds every code
-                for partner in group:
+            hists.append((group, digit, hist))
+        for span in spans:
+            y0, ny = span.start * stride - top, len(span) * stride
+            slab = buf[:m, : ny + reach]  # image rows y0 .. y0 + ny + reach
+            lo, hi = max(y0, 0), min(y0 + ny + reach, height)
+            for cell, (inverse, table) in zip(slab, ranks):
+                cell[: lo - y0], cell[hi - y0 :] = bins, bins
+                np.take(table, inverse[lo:hi], out=cell[lo - y0 : hi - y0, left : left + width])
+            for group, digit, hist in hists:
+                code = digit + slab[:, top:, left:][:, :ny:stride, :width:stride]  # digit's dtype
+                for dx, dy in group:
                     code *= bins + 1
-                    code += partner[i, s]
+                    code += slab[:, top + dy :, left + dx :][:, :ny:stride, :width:stride]
                 hist += np.bincount(code.ravel(), minlength=hist.size)
+        counts = []
+        for group, _, hist in hists:
+            axes = (m, bins) + (bins + 1,) * len(group)
             others = [tuple(b for b in range(2, len(axes)) if b != a) for a in range(2, len(axes))]
             counts += [np.add.reduce(hist.reshape(axes), axis)[:, :, :bins] for axis in others]
-        return [[EmpiricalCopula(c[k] / n) for c, n in zip(counts, n_pairs)] for k in range(m)]
+        copulas = [[EmpiricalCopula(c[k] / n) for c, n in zip(counts, n_pairs)] for k in range(m)]
+        return [CopulaFamily(deltas, [c.cells for c in cs], n_pairs, stride) for cs in copulas]
 
-    fams = []
-    for i in _row_blocks(len(images), max(own[0].size, bins * (bins + 1) ** g)):
-        fams += [CopulaFamily(deltas, [c.cells for c in cs], n_pairs, stride) for cs in block(i)]
-    return fams
+    return [fam for i in blocks for fam in block(images[i])]
 
 
 def extract_family(
@@ -309,8 +323,8 @@ def extract_family(
     the pair count. stride = 1 uses every valid pair; stride >= 2 *
     max(|dx|, |dy|) + 1 makes the pairs disjoint (no pixel participates
     twice). Each distinct pixel value is binned once, and all displacements
-    are counted together from the shared bin map. The one-image case of
-    _extract_families.
+    are counted together from one slab of bins at a time. The one-image
+    case of _extract_families.
     """
     return _extract_families([img], deltas, bins, stride)[0]
 

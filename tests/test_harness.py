@@ -547,6 +547,30 @@ def test_sla_pipeline_two_sizes_at_infinite_budget_match_each_image(tmp_path):
     assert [[r[0], *r[3:9]] for r in table.rows] == [list(map(_cell, row)) for row in want]
 
 
+def test_sla_pipeline_counts_each_run_of_one_shape_once_per_stride(tmp_path, monkeypatch):
+    # 64x48, 64x48, 40x72, 64x48 are three runs of one shape: one stacked count
+    # per run and stride, and the rows are those of one-image counts
+    paths = []
+    for k, (width, height) in enumerate(((64, 48), (64, 48), (40, 72), (64, 48))):
+        paths.append(str(tmp_path / f"n{k}.pgm"))
+        with open(paths[-1], "wb") as fh:
+            fh.write(write_pgm(synth_noise(width, height, k)))
+    cfg = ExperimentConfig(corpus=tuple(paths))
+    sub = non_overlapping_stride(cfg.deltas)
+    calls, stacked = [], harness._extract_families
+
+    def counted(images, deltas, bins, stride):
+        calls.append((len(images), stride))
+        return stacked(images, deltas, bins, stride)
+
+    monkeypatch.setattr(harness, "_extract_families", counted)
+    rows = run_sla_pipeline(cfg, t_grid=(0.0, 7.0)).tables[0].rows
+    assert calls == [(2, 1), (2, sub), (1, 1), (1, sub), (1, 1), (1, sub)]
+    one_at_a_time = lambda images, *args: [stacked([img], *args)[0] for img in images]  # noqa: E731
+    monkeypatch.setattr(harness, "_extract_families", one_at_a_time)
+    assert rows == run_sla_pipeline(cfg, t_grid=(0.0, 7.0)).tables[0].rows
+
+
 def test_sla_surface_roundtrip(tmp_path):
     cfg = ExperimentConfig()
     result = run_sla_surface(replace(cfg, out_dir=str(tmp_path)))

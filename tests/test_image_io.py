@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,10 +87,28 @@ def test_truncated_payload():
 
 
 def test_read_pgm_copies_the_payload():
-    data = bytearray(b"P5\n3 2\n255\n" + bytes(range(6)))
-    img = read_pgm(data)
-    data[-6:] = bytes(6 * [9])
-    assert img.pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+    for buffer in (bytearray, lambda b: memoryview(bytearray(b))):
+        data = buffer(b"P5\n3 2\n255\n" + bytes(range(6)))
+        img = read_pgm(data)
+        data[-6:] = bytes(6 * [9])
+        assert img.pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+        with pytest.raises(ValueError):
+            img.pixels[0, 0] = 3
+
+
+def test_read_pgm_views_a_bytes_payload():
+    # bytes cannot change, so the image keeps a read-only view of the payload
+    # and allocates no image-sized copy of it
+    data = write_pgm(synth_noise(512, 512, 3))
+    tracemalloc.start()
+    try:
+        img = read_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < img.pixels.nbytes // 8, peak
+    assert np.shares_memory(img.pixels, np.frombuffer(data, np.uint8))
+    assert np.array_equal(img.pixels, synth_noise(512, 512, 3).pixels)
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 3
 

@@ -613,6 +613,17 @@ def test_stacked_count_holds_one_image_working_set_at_256_bins():
     assert eleven < 1.5 * one, (one, eleven)
 
 
+def test_extract_family_holds_no_image_sized_buffer():
+    # each block of anchor rows is binned into one slab of the working-set
+    # size with its halo rows, so the transient peak does not grow with the
+    # image: one block's codes, their intp copy in np.bincount and the
+    # histogram, about 1.5 MB at 1024² and at 2048², where the image is 4 MB
+    small, big = synth_noise(1024, 1024, 5), synth_noise(2048, 2048, 5)
+    peaks = [_transient_bytes(lambda img=img: extract_family(img)) for img in (small, big)]
+    assert peaks[1] < big.pixels.nbytes // 2, peaks
+    assert peaks[1] - peaks[0] < small.pixels.nbytes // 16, peaks
+
+
 def test_stacked_families_refuse_as_one_image_does():
     img = _tied_image((3, 4), False, 3, 0)
     cases = [
