@@ -51,7 +51,7 @@ class ConcentrationParams:
     def __post_init__(self):
         _in_range("bins", self.bins, 2, math.inf, "[)")
         _in_range("n_deltas", self.n_deltas, 1, math.inf, "[)")
-        _in_range("t", self.t, 0.0, math.inf, "()")  # t = inf prescribes n_eff = 0 pairs
+        _in_range("t", self.t, 0.0, math.inf, "()")
         _in_range("eta", self.eta, 0.0, 1.0, "()")
 
 
@@ -64,15 +64,15 @@ def _union_log(params: ConcentrationParams) -> float:
 
 def sample_complexity(params: ConcentrationParams) -> int:
     """Disjoint pairs sufficient for mean L1 copula error <= t except with
-    probability eta: ceil((2 / t^2) * ln(2^(B^2) * |deltas| / eta)).
+    probability eta: ceil((2 / t^2) * ln(2^(B^2) * |deltas| / eta)), at least 1.
 
     Raises ValueError when that count is beyond a float: t^2 underflows,
-    or 1 / eta overflows."""
+    or 1 / eta overflows. Where t^2 overflows, it is 1 pair."""
     t2 = params.t * params.t
     n = (2.0 / t2) * _union_log(params) if t2 > 0.0 else math.inf
     if not math.isfinite(n):
         raise ValueError(f"the pair count for t={params.t!r}, eta={params.eta!r} exceeds a float")
-    return int(math.ceil(n))
+    return max(1, int(math.ceil(n)))
 
 
 def est_distortion_from_samples(n_eff: int, params: ConcentrationParams) -> float:

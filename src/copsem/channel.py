@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import QuantizedFamily, _decode_bits, _dequantize_rows, dequantize, pack
+from .codec import QuantizedFamily, _decode_bits, _dequantize_rows, pack
 from .image_io import _fork_map, _in_range, _row_blocks
 from .metrics import _d_pc_batch
 from .rank_copula import _check_masses
@@ -158,7 +158,8 @@ def _ber_experiments(q: QuantizedFamily, runs) -> list[ChannelExperiment]:
     Each run hashes all its trials' streams up front; one generator draws them."""
     _check_runs(runs)
     n = len(q.deltas)
-    reference = dequantize(q).cells.reshape(n, -1)
+    reference = _dequantize_rows(q.indices.reshape(n, -1), q.alpha, q.bins)
+    _check_masses(reference, "cell masses")
     bits = np.unpackbits(np.frombuffer(pack(q), dtype=np.uint8)).astype(bool)
     seeds = [_trial_seeds((seed,), trials, hops=2) for _, trials, seed in runs]
     g = np.random.default_rng(0)

@@ -33,7 +33,9 @@ from .bounds import (
     t_min,
 )
 from .channel import _ber_experiments, _check_runs, _seeded, _trial_seeds, trial_seed
-from .codec import RdPoint, _alpha_sweep, dequantize, levels_for_alpha, quantize, rd_sweep
+from .codec import (
+    RdPoint, _alpha_sweep, _dequantize_rows, _quantize_cells, levels_for_alpha, quantize, rd_sweep
+)
 from .image_io import U8, GrayImage, _fork_map, _in_range, _load_pgm, _row_blocks, _stems, _sweep
 from .metrics import (
     _d_pc_batch, _js_scorer, _mean_sqrt, _ssim_batch, psnr
@@ -316,14 +318,14 @@ def run_axiom_table(cfg: ExperimentConfig) -> ExperimentResult:
 
     def score(img: GrayImage) -> list[tuple]:
         # the image and its bank outputs in stacks of about _BLOCK cells (one stack at
-        # the default bins): one count and one d_pc call a stack, then one ssim call
+        # the default bins): one count, mass check and d_pc call a stack, then one ssim call
         n, b2 = len(cfg.deltas), cfg.bins * cfg.bins
         outs, dists = [apply_transform(img, spec) for spec in bank], []
         stack = [img, *outs]
         for blk in _row_blocks(len(stack), n * b2):
-            fams = _extract_families(stack[blk], cfg.deltas, cfg.bins, cfg.stride)
-            cells = np.array([f.cells for f in fams]).reshape(-1, n, b2)
-            del fams  # the stacked copy is all a block keeps
+            cells = _extract_families(stack[blk], cfg.deltas, cfg.bins, cfg.stride)[0]
+            cells = cells.reshape(-1, n, b2)
+            _check_masses(cells.reshape(-1, b2), "cell masses")
             if blk.start == 0:
                 ref, cells = cells[0], cells[1:]
             dists += _d_pc_batch(ref, cells).tolist()
@@ -623,30 +625,31 @@ def run_sla_pipeline(
     T runs ascending, and an empty grid or a repeated T raises ValueError.
     Per _row_blocks block of images (about _BLOCK (image, T) cells, or one
     image), each run of images of one shape takes one stacked count per
-    stride, and each estimate is encoded; paired _d_pc_batch calls
-    score the estimate and encode stages, one lockstep solve weighs every
-    (image, T), and two more score the decode and end-to-end stages."""
+    stride, and the estimates are encoded as one stack; paired _d_pc_batch
+    calls score the estimate and encode stages, one lockstep solve weighs
+    every (image, T), two more score the decode and end-to-end stages, and
+    each stack's masses are checked once."""
     alpha, t_grid = float(alpha), _sweep("compute grid", t_grid)
     targets = [dec.error(t) for t in t_grid]
-    levels_for_alpha(alpha)  # T and alpha are checked before the corpus is loaded
+    top = levels_for_alpha(alpha) - 1  # T and alpha are checked before the corpus is loaded
     sub = non_overlapping_stride(cfg.deltas)
     n, b2, k = len(cfg.deltas), cfg.bins * cfg.bins, len(t_grid)
     corpus = load_corpus(cfg)
     header = "image stride alpha T w d_est d_enc d_dec d_total bound holds".split()
     rows, excess, rises = [], [], []
     for blk in _row_blocks(len(corpus), k * n * b2):
-        images, stages = [img for _, img in corpus[blk]], []
+        images, stacks = [img for _, img in corpus[blk]], []
         shapes = [img.pixels.shape for img in images]
         cuts = [j for j in range(1, len(images)) if shapes[j] != shapes[j - 1]]
         for a, b in zip([0, *cuts], [*cuts, len(images)]):  # runs of one shape
-            truth, est = (_extract_families(images[a:b], cfg.deltas, cfg.bins, s) for s in (1, sub))
-            for fams in zip(truth, est, (dequantize(quantize(e, alpha)) for e in est)):
-                stages.append([f.cells.reshape(n, b2) for f in fams])
-        truths, ests, encs = np.array(stages).swapaxes(0, 1)  # each (images, D, B * B)
+            stacks += [_extract_families(images[a:b], cfg.deltas, cfg.bins, s)[0] for s in (1, sub)]
+        truths, ests = (np.concatenate(stacks[s::2]).reshape(-1, n, b2) for s in (0, 1))
+        encs = _dequantize_rows(_quantize_cells(ests, alpha, top), alpha, cfg.bins)
         d_ests, d_encs = _d_pc_batch(truths, ests).tolist(), _d_pc_batch(ests, encs).tolist()
-        ws = _solve_weights(np.repeat(encs, k, axis=0), targets * len(stages)).reshape(-1, k)
+        ws = _solve_weights(np.repeat(encs, k, axis=0), targets * len(images)).reshape(-1, k)
         mixed = _mix_cells(encs[:, None], ws[:, :, None, None], b2)  # (images, T, D, B * B)
-        _check_masses(mixed.reshape(-1, b2), "cell masses")
+        for stage in (truths, ests, encs, mixed):
+            _check_masses(stage.reshape(-1, b2), "cell masses")
         d_decs, d_totals = (_d_pc_batch(ref[:, None], mixed).tolist() for ref in (encs, truths))
         per_image = zip(corpus[blk], d_ests, d_encs, ws.tolist(), d_decs, d_totals)
         for (name, _), d_est, d_enc, w_i, dec_i, total_i in per_image:

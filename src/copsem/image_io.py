@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import re
 import threading
 from dataclasses import dataclass, fields
 
@@ -20,6 +21,7 @@ import numpy as np
 U8 = "u8"
 REAL = "real"
 _BLOCK = 1 << 16  # elements per block of the one working-set rule, _row_blocks
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")  # PGM whitespace and comments, a token
 
 
 def _in_range(name: str, value, lo, hi, ends: str = "[]", integer: bool = False):
@@ -213,36 +215,29 @@ class GrayImage:
 def read_pgm(data: bytes) -> GrayImage:
     """Parse a binary (P5) PGM byte stream into a u8 GrayImage.
 
-    Header comments (lines starting with '#') are skipped. Exactly one
+    The magic ends at whitespace or a comment; header tokens are ASCII
+    digits, and comments (lines starting with '#') are skipped. Exactly one
     whitespace byte separates the maxval token from the payload. The image
     views the payload of a bytes object; any other buffer (a bytearray, a
     memoryview) is copied first, so the image never changes with it.
     """
     if not isinstance(data, bytes):
         data = bytes(data)
-    if not data.startswith(b"P5"):
+    if data[:2] != b"P5" or data[2:3] not in (b"", b"#") and not data[2:3].isspace():
         raise PgmHeaderError("not a binary PGM stream (magic != P5)")
-    pos = 2
-    tokens: list[int] = []
-    n = len(data)
+    pos, tokens, n = 2, [], len(data)
     while len(tokens) < 3:
-        while pos < n and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < n and data[pos : pos + 1] == b"#":
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-            continue
-        start = pos
-        while pos < n and not data[pos : pos + 1].isspace():
-            pos += 1
-        tok = data[start:pos]
+        match = _HEADER_TOKEN.match(data, pos)
+        tok, pos = match[1], match.end()
         if not tok:
             raise PgmHeaderError("header ended before width/height/maxval")
         try:
+            if not tok.isdigit():  # int() also takes a sign and "_"
+                raise ValueError
             tokens.append(int(tok))
-        except ValueError:
+        except ValueError:  # or more digits than int() converts
             raise PgmHeaderError(f"non-integer header token {tok!r}") from None
-    if pos >= n or not data[pos : pos + 1].isspace():
+    if pos == n:  # a token ends at whitespace or at the end
         raise PgmHeaderError("missing whitespace after maxval")
     pos += 1
     width, height, maxval = tokens

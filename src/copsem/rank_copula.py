@@ -88,9 +88,9 @@ class RankField:
 @dataclass(frozen=True, eq=False)
 class EmpiricalCopula:
     """One displacement's B x B cell masses as _extract_families counts them:
-    one record per displacement per image, the count perfbench reports. The
-    CopulaFamily built from the records validates their cells; this only
-    makes them read-only."""
+    one record per displacement per image, the count perfbench reports. It
+    holds a read-only view of its slice of the call's stack and checks
+    nothing: the stack's caller checks the masses."""
 
     cells: np.ndarray
 
@@ -139,20 +139,16 @@ class CopulaFamily:
     __eq__ = _same_values
 
     def to_json(self) -> str:
-        """Serialize with 17-significant-digit reals (exact float round-trip)."""
-        cells = [
-            "[" + ",".join(format(v, ".17g") for v in row) + "]"
-            for row in self.cells.reshape(len(self.deltas), -1)
-        ]
-        head = {
+        """Serialize each real as its shortest exact round-trip repr."""
+        doc = {
             "version": SERIAL_VERSION,
             "bins": self.bins,
             "stride": self.stride,
             "deltas": [[d.dx, d.dy] for d in self.deltas],
             "n_pairs": list(self.n_pairs),
+            "cells": self.cells.reshape(len(self.deltas), -1).tolist(),
         }
-        body = json.dumps(head, separators=(",", ":"))
-        return body[:-1] + ',"cells":[' + ",".join(cells) + "]}"
+        return json.dumps(doc, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "CopulaFamily":
@@ -225,9 +221,10 @@ def _anchor_range(extent: int, offset: int, stride: int) -> range:
 
 def _extract_families(
     images: Sequence[GrayImage], deltas: Sequence[Displacement], bins: int, stride: int
-) -> list[CopulaFamily]:
-    """extract_family of each of N images of one shape, one copula per
-    displacement, each distinct pixel value binned once.
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (N, D, B, B) cells of N images of one shape, one copula per
+    displacement, and the n_pairs they share; each distinct pixel value is
+    binned once. The caller checks the masses (_check_masses, CopulaFamily).
 
     The anchors are counted in blocks of whole images that hold about _BLOCK
     anchors and histogram cells (_row_blocks), or one image, whose anchor
@@ -242,8 +239,8 @@ def _extract_families(
     max(bins * (bins + 1), min(_BLOCK, anchors // 8)) over one image's
     anchors. One np.bincount per slab counts a group, and each
     displacement's counts are the group's histogram summed over the other
-    partners, without the sentinel. A block's copulas are gone before the
-    next block is counted."""
+    partners, without the sentinel, divided into the block's images of the
+    one output stack before the next block is counted."""
     deltas = _displacements(deltas)  # before any pixel is binned
     bins = _in_range("bins", bins, 2, math.inf, "[)", integer=True)
     if len({img.pixels.shape for img in images}) != 1:
@@ -275,12 +272,13 @@ def _extract_families(
         np.min_scalar_type(bins),
     )
     buf[:, :, :left], buf[:, :, left + width :] = bins, bins
+    out = np.empty((len(images), len(deltas), bins, bins))
 
-    def block(batch: Sequence[GrayImage]) -> list[CopulaFamily]:  # its counts go on return
-        ranks = ((inverse, _bin_of(u, bins)) for inverse, u in map(_midranks, batch))
+    def block(i: slice) -> None:  # its counts go on return
+        ranks = ((inverse, _bin_of(u, bins)) for inverse, u in map(_midranks, images[i]))
         if len(spans) > 1:  # one image, binned a slab at a time; else one rank lives at a time
             ranks = list(ranks)
-        m, hists = len(batch), []
+        m, hists = len(images[i]), []
         for group in groups:
             hist = np.zeros(m * bins * (bins + 1) ** len(group), np.int64)
             digit = np.arange(m, dtype=np.min_scalar_type(hist.size - 1))[:, None, None] * bins
@@ -298,15 +296,17 @@ def _extract_families(
                     code *= bins + 1
                     code += slab[:, top + dy :, left + dx :][:, :ny:stride, :width:stride]
                 hist += np.bincount(code.ravel(), minlength=hist.size)
-        counts = []
-        for group, _, hist in hists:
-            axes = (m, bins) + (bins + 1,) * len(group)
-            others = [tuple(b for b in range(2, len(axes)) if b != a) for a in range(2, len(axes))]
-            counts += [np.add.reduce(hist.reshape(axes), axis)[:, :, :bins] for axis in others]
-        copulas = [[EmpiricalCopula(c[k] / n) for c, n in zip(counts, n_pairs)] for k in range(m)]
-        return [CopulaFamily(deltas, [c.cells for c in cs], n_pairs, stride) for cs in copulas]
+        for j, (group, _, hist) in enumerate(hists):
+            hist = hist.reshape((m, bins) + (bins + 1,) * len(group))
+            for a in range(2, hist.ndim):  # displacement j * g + a - 2, summed over the others
+                k, others = j * g + a - 2, tuple(b for b in range(2, hist.ndim) if b != a)
+                counts = np.add.reduce(hist, others)[:, :, :bins]
+                for cells in np.divide(counts, n_pairs[k], out=out[i, k]):
+                    EmpiricalCopula(cells)  # one record per displacement per image
 
-    return [fam for i in blocks for fam in block(images[i])]
+    for i in blocks:
+        block(i)
+    return out, tuple(n_pairs)
 
 
 def extract_family(
@@ -324,9 +324,10 @@ def extract_family(
     max(|dx|, |dy|) + 1 makes the pairs disjoint (no pixel participates
     twice). Each distinct pixel value is binned once, and all displacements
     are counted together from one slab of bins at a time. The one-image
-    case of _extract_families.
+    case of _extract_families, the one place its counts become a family.
     """
-    return _extract_families([img], deltas, bins, stride)[0]
+    cells, n_pairs = _extract_families([img], deltas, bins, stride)
+    return CopulaFamily(deltas, cells[0], n_pairs, stride)
 
 
 def coarsen(family: CopulaFamily, factor: int) -> CopulaFamily:

@@ -381,6 +381,15 @@ def test_fixture_rate_sweep_feeds_design_surface():
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
 
 
+def _float64_dispatch() -> dict[str, str]:
+    """The SIMD target numpy dispatches each float64 power, log and log2 loop
+    to: the golden bytes move with them."""
+    from numpy.lib.introspect import opt_func_info
+
+    info = opt_func_info(func_name="^(power|log|log2)$", signature="float64")
+    return {f: t["current"] for f, sigs in info.items() for t in sigs.values()}
+
+
 def test_reruns_write_identical_csv_bytes(tmp_path):
     """Every experiment, re-run with the same seed, writes byte-identical
     CSV artifacts, and at the default config they match the recorded
@@ -420,5 +429,8 @@ def test_reruns_write_identical_csv_bytes(tmp_path):
     for name in names:
         with open(os.path.join(dir_a, name), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert digest == golden["csv_sha256"][name], f"{name} differs from perfbench/golden.json"
+        assert digest == golden["csv_sha256"][name], (
+            f"{name} differs from perfbench/golden.json, recorded where numpy runs float64 "
+            f"power, log and log2 on X86_V4; this numpy runs them on {_float64_dispatch()}"
+        )
     print(f"PASS golden: {len(names)} CSV artifacts match perfbench/golden.json")

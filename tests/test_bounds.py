@@ -30,6 +30,12 @@ def test_sample_complexity_anchor():
     assert sample_complexity(ConcentrationParams(4, 2, 0.1, 0.05)) == 2956
 
 
+def test_sample_complexity_is_at_least_one_pair():
+    # t^2 overflows to inf, so the formula's count rounds to 0 pairs
+    assert sample_complexity(ConcentrationParams(4, 2, 1e300, 0.05)) == 1
+    assert sample_complexity(ConcentrationParams(4, 2, 1e10, 0.05)) == 1
+
+
 def test_sample_complexity_monotone():
     base = ConcentrationParams(4, 2, 0.1, 0.05)
     assert sample_complexity(ConcentrationParams(8, 2, 0.1, 0.05)) > sample_complexity(base)

@@ -133,6 +133,19 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("copsem: "), captured.err
 
 
+def test_a_huge_t_prescribes_one_pair(tmp_path, capsys):
+    # t^2 overflows at t = 1e300, and the pair count used to round to 0:
+    # concentration wrote mean_l1 = nan and bounds exited 2
+    out = tmp_path / "out"
+    assert main(["concentration", "--t", "1e300", "--ctrials", "2", "--out", str(out)]) == 1
+    text = (out / "concentration.csv").read_text()
+    assert "nan" not in text
+    assert [row["n_eff"] for row in csv.DictReader(text.splitlines()[1:])] == ["1", "10"]
+    capsys.readouterr()
+    assert main(["bounds", "--t", "1e300"]) == 0
+    assert "n_eff=1" in capsys.readouterr().out.splitlines()
+
+
 # Each (subcommand, flag) pair was accepted and then ignored; each is now
 # a usage error.
 REMOVED_FLAGS = [

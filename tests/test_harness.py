@@ -33,10 +33,10 @@ from copsem.harness import (
     solve_decoder_weight,
     synthetic_corpus,
 )
-from copsem.codec import dequantize, quantize
+from copsem.codec import QuantizedFamily, dequantize, quantize
 from copsem.image_io import synth_noise, write_pgm
 from copsem.metrics import _d_pc_batch, d_pc
-from copsem.rank_copula import extract_family, non_overlapping_stride
+from copsem.rank_copula import DEFAULT_DELTAS, CopulaFamily, extract_family, non_overlapping_stride
 from copsem.transforms import apply_transform, default_bank, gaussian_blur_array
 
 
@@ -566,9 +566,38 @@ def test_sla_pipeline_counts_each_run_of_one_shape_once_per_stride(tmp_path, mon
     monkeypatch.setattr(harness, "_extract_families", counted)
     rows = run_sla_pipeline(cfg, t_grid=(0.0, 7.0)).tables[0].rows
     assert calls == [(2, 1), (2, sub), (1, 1), (1, sub), (1, 1), (1, sub)]
-    one_at_a_time = lambda images, *args: [stacked([img], *args)[0] for img in images]  # noqa: E731
+
+    def one_at_a_time(images, *args):
+        counts = [stacked([img], *args) for img in images]
+        return np.concatenate([cells for cells, _ in counts]), counts[0][1]
+
     monkeypatch.setattr(harness, "_extract_families", one_at_a_time)
     assert rows == run_sla_pipeline(cfg, t_grid=(0.0, 7.0)).tables[0].rows
+
+
+def test_stacked_runners_build_no_family_and_check_each_copula_once(monkeypatch):
+    # inline, so every call is seen here: the axiom table and the SLA pipeline
+    # score cell stacks, so they build no CopulaFamily or QuantizedFamily, and
+    # the masses of each copula they count, encode or mix are checked once
+    _pin_cpus(monkeypatch, 1)
+    built, checked = [], []
+    for cls in (CopulaFamily, QuantizedFamily):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda obj, _p=post_init: built.append(type(obj)) or _p(obj)
+        )
+    check = rank_copula._check_masses
+    counted = lambda rows, name: checked.append(len(rows)) or check(rows, name)  # noqa: E731
+    for module in (harness, rank_copula):
+        monkeypatch.setattr(module, "_check_masses", counted)
+    cfg, n = ExperimentConfig(), len(DEFAULT_DELTAS)
+    assert run_axiom_table(cfg).ok
+    assert (built, sum(checked)) == ([], 20 * 11 * n)  # each image and its ten bank outputs
+    checked.clear()
+    t_grid = (0.0, 7.0, 40.0)
+    assert run_sla_pipeline(cfg, t_grid=t_grid).ok
+    # truth, estimate and encode, then one mix per T
+    assert (built, sum(checked)) == ([], 20 * (3 + len(t_grid)) * n)
 
 
 def test_sla_surface_roundtrip(tmp_path):

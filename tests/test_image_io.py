@@ -113,12 +113,24 @@ def test_read_pgm_views_a_bytes_payload():
         img.pixels[0, 0] = 3
 
 
+_LONG = b"9" * 5000  # digits, but more than int() converts
+
+
 @pytest.mark.parametrize(
     "data, error, message",
     [
         (b"P6\n1 1\n255\n\x00", PgmHeaderError, "not a binary PGM stream (magic != P5)"),
         (b"P5 2 2", PgmHeaderError, "header ended before width/height/maxval"),
         (b"P5 2 x 9 ", PgmHeaderError, "non-integer header token b'x'"),
+        (b"P52 2 255\n" + bytes(4), PgmHeaderError, "not a binary PGM stream (magic != P5)"),
+        (b"P5 +2 2 255\n" + bytes(4), PgmHeaderError, "non-integer header token b'+2'"),
+        (b"P5 1_0 1 255\n" + bytes(10), PgmHeaderError, "non-integer header token b'1_0'"),
+        pytest.param(
+            b"P5 " + _LONG + b" 1 255\n",
+            PgmHeaderError,
+            f"non-integer header token {_LONG!r}",
+            id="long-digit-token",
+        ),
         (b"P5 1 1 255", PgmHeaderError, "missing whitespace after maxval"),
         (b"P5\n0 4\n255\n", PgmDimensionError, "invalid dimensions 0x4"),
         (b"P5\n1 1\n65535\n\x00\x00", PgmMaxvalError, "maxval 65535 outside [1, 255]"),

@@ -549,15 +549,17 @@ def test_stacked_families_are_per_image_families(monkeypatch, shape, bins, delta
     made = []
     post_init = EmpiricalCopula.__post_init__
     monkeypatch.setattr(EmpiricalCopula, "__post_init__", lambda c: made.append(c) or post_init(c))
-    stacked = _extract_families(images, deltas, bins, stride)
+    stacked, stacked_pairs = _extract_families(images, deltas, bins, stride)
     assert len(made) == len(images) * len(deltas)  # one copula per displacement per image
+    assert all(np.shares_memory(c.cells, stacked) for c in made)  # views of the one stack
     made.clear()
     singles = [extract_family(img, deltas, bins, stride) for img in images]
     assert len(made) == len(images) * len(deltas)
-    assert stacked == singles
-    for img, fam in zip(images, stacked):
+    assert np.array_equal(stacked, [fam.cells for fam in singles])
+    assert all(fam.n_pairs == stacked_pairs and fam.stride == stride for fam in singles)
+    for img, image_cells in zip(images, stacked):
         u = rank_transform(img).u
-        for d, cells, n_pairs in zip(deltas, fam.cells, fam.n_pairs):
+        for d, cells, n_pairs in zip(deltas, image_cells, stacked_pairs):
             counts, want_pairs = _gather_counts(u, d, bins, stride)
             assert n_pairs == want_pairs, d
             assert np.array_equal(cells, counts / n_pairs), d
@@ -570,8 +572,10 @@ def test_stacks_of_two_images_are_per_image_families(monkeypatch):
     images = [u8, GrayImage(37, 40, u8.pixels * 0.37 - 1.5, domain=REAL)]
     images += [_tied_image((40, 37), False, 3, 1), _tied_image((40, 37), True, 5, 2)]
     for stride in (1, 2):
-        stacked = _extract_families(images, DEFAULT_DELTAS, 8, stride)
-        assert stacked == [extract_family(img, DEFAULT_DELTAS, 8, stride) for img in images]
+        stacked, n_pairs = _extract_families(images, DEFAULT_DELTAS, 8, stride)
+        singles = [extract_family(img, DEFAULT_DELTAS, 8, stride) for img in images]
+        assert np.array_equal(stacked, [fam.cells for fam in singles])
+        assert all(fam.n_pairs == n_pairs and fam.stride == stride for fam in singles)
 
 
 def _transient_bytes(call):
@@ -588,13 +592,17 @@ def _transient_bytes(call):
 
 
 def test_each_extracted_family_is_validated_once(monkeypatch):
-    # the per-displacement records are not checked; the family built from
-    # them checks its stacked cells once, in one call for all its copulas
+    # a stack of cells is not checked where it is counted (its caller checks
+    # it); extract_family's family checks its cells once, in one call for
+    # all its copulas
     checked, check = [], rank_copula._check_masses
     counted = lambda rows, name: checked.append(rows.shape) or check(rows, name)  # noqa: E731
     monkeypatch.setattr(rank_copula, "_check_masses", counted)
     images = [synth_noise(96, 96, seed) for seed in range(11)]
     _extract_families(images, DEFAULT_DELTAS, 8, 1)
+    assert checked == []
+    for img in images:
+        extract_family(img)
     assert checked == [(len(DEFAULT_DELTAS), 64)] * len(images)
 
 
